@@ -95,7 +95,7 @@ inline KernelStats kernel_stats(core::Cluster& cluster) {
   s.nparts = static_cast<std::uint32_t>(kp.partitions.size());
   return s;
 }
-// Baseline stacks run a bare Simulation with no domain: events only.
+// Baseline stacks run a lone Simulation with no domain: events only.
 inline KernelStats kernel_stats(core::Testbed& bed) {
   if (bed.cluster() != nullptr) return kernel_stats(*bed.cluster());
   KernelStats s;
@@ -126,13 +126,13 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
     blame.register_metrics(&cluster.obs().registry);
   }
   const std::string metrics = "bench_out/" + name + ".metrics.json";
-  if (!obs::write_metrics_json(cluster.obs(), cluster.sim().now(), metrics,
+  if (!obs::write_metrics_json(cluster.obs(), cluster.now(), metrics,
                                &mem)) {
     std::cerr << "warning: failed to write " << metrics << "\n";
   }
   if (traced) {
     const std::string bpath = "bench_out/" + name + ".blame.json";
-    if (!obs::write_blame_json(blame, cluster.sim().now(), bpath,
+    if (!obs::write_blame_json(blame, cluster.now(), bpath,
                                &cluster.obs().watchdog)) {
       std::cerr << "warning: failed to write " << bpath << "\n";
     }
@@ -159,15 +159,17 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
 
 // Command-line options shared by every bench binary.
 //
-//   --threads N   worker threads for the partitioned simulation kernel
-//                 (ClusterParams::nthreads); default 1 = the serial
-//                 kernel, byte-identical to the pre-partitioning figures
+//   --threads N   worker threads for the simulation kernel
+//                 (ClusterParams::nthreads); default 1, and every figure
+//                 is identical for any N
 //   --smoke       reduced grid / shortened run for CI smoke jobs
 //   --trace       enable span tracing (same effect as REDBUD_TRACE=1)
 //   --sample-interval M
 //                 time-series sampling stride in simulated milliseconds
 //                 (fractions allowed); 0 disables sampling, the default
 //                 for the replay-pinned benches
+//   --check       assert the paper's shapes (benches that have a claims
+//                 gate exit non-zero when one fails)
 //
 // Unknown arguments warn on stderr and are otherwise ignored, so adding a
 // flag never breaks an older bench invocation in a CI matrix.
@@ -175,6 +177,7 @@ struct Options {
   unsigned threads = 1;
   bool smoke = false;
   bool trace = false;
+  bool check = false;
   double sample_interval_ms = 0.0;
 
   static Options parse(int argc, char** argv) {
@@ -190,13 +193,15 @@ struct Options {
         o.smoke = true;
       } else if (a == "--trace") {
         o.trace = true;
+      } else if (a == "--check") {
+        o.check = true;
       } else if (a == "--sample-interval" && i + 1 < argc) {
         o.sample_interval_ms = std::strtod(argv[++i], nullptr);
       } else if (a.rfind("--sample-interval=", 0) == 0) {
         o.sample_interval_ms = std::strtod(a.c_str() + 18, nullptr);
       } else {
         std::cerr << "warning: unknown bench option '" << a
-                  << "' (known: --threads N, --smoke, --trace, "
+                  << "' (known: --threads N, --smoke, --trace, --check, "
                      "--sample-interval M)\n";
       }
     }
@@ -214,6 +219,22 @@ struct Options {
     }
     return o;
   }
+};
+
+// The paper-claims gate behind --check: each claim prints one PASS/FAIL
+// line, and the bench exits non-zero if any failed. Tolerances live at
+// the call sites, next to the figure they gate.
+class ClaimGate {
+ public:
+  void expect(bool holds, const std::string& claim) {
+    std::cout << "claim " << (holds ? "PASS" : "FAIL") << ": " << claim
+              << "\n";
+    ok_ = ok_ && holds;
+  }
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  bool ok_ = true;
 };
 
 inline core::TestbedParams paper_testbed(core::Protocol proto,

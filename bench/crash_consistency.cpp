@@ -81,9 +81,10 @@ int main() {
         Cluster c(crash_cluster(mode, nshards));
         c.start();
         for (std::size_t i = 0; i < c.nclients(); ++i) {
-          c.sim().spawn(churn(c.sim(), c.client(i), int(i), 80));
+          c.client_sim(i).spawn(
+              churn(c.client_sim(i), c.client(i), int(i), 80));
         }
-        c.sim().run_until(SimTime::millis(crash_ms));  // <- the crash
+        c.run_until(SimTime::millis(crash_ms));  // <- the crash
 
         const auto report = core::check_consistency(c);
         const auto gc = core::collect_orphans(c);

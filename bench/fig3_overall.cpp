@@ -120,5 +120,25 @@ int main(int argc, char** argv) {
             << (clean ? "all reads verified, no op errors"
                       : "FAILURES DETECTED")
             << "\n";
-  return clean ? 0 : 1;
+  if (!cli.check) return clean ? 0 : 1;
+
+  // Paper-claims gate. NPB-BT's "PVFS2 best" is a known mismatch of the
+  // model (EXPERIMENTS.md) and is deliberately not gated.
+  bench::ClaimGate gate;
+  for (const auto& row : rows) {
+    const double gain = row.value[2] > 0 ? row.value[3] / row.value[2] : 0.0;
+    gate.expect(gain > 1.0, row.workload + ": Redbud+DC beats Redbud (" +
+                                core::Table::fmt_ratio(gain) + " > 1.00x)");
+    if (row.workload == "xcdn-32KB") {
+      gate.expect(gain >= 2.0, "xcdn-32KB: DC gain " +
+                                   core::Table::fmt_ratio(gain) +
+                                   " >= 2.00x (paper ~2.6x)");
+    }
+    if (row.workload == "xcdn-1MB") {
+      gate.expect(row.value[2] > row.value[1],
+                  "xcdn-1MB: Redbud beats NFS3 on large files");
+    }
+  }
+  gate.expect(clean, "every read verified, no op errors");
+  return gate.ok() ? 0 : 1;
 }

@@ -45,13 +45,15 @@ int main(int argc, char** argv) {
   // 3 file sizes x 3 configurations, each an independent simulation.
   constexpr std::uint32_t kSizesKb[] = {32, 64, 1024};
   double ratio[3][3] = {};
+  std::uint64_t errors[3][3] = {};  // verify failures + op errors
   bench::ParallelRunner runner;
   for (int si = 0; si < 3; ++si) {
     for (int ci = 0; ci < 3; ++ci) {
       const std::uint32_t kb = kSizesKb[si];
       double* out = &ratio[si][ci];
+      std::uint64_t* err = &errors[si][ci];
       runner.add(std::to_string(kb) + "KB/" + kConfigs[ci].name,
-                 [kb, ci, out, cli]() -> bench::KernelStats {
+                 [kb, ci, out, err, cli]() -> bench::KernelStats {
                    auto params = bench::paper_testbed(kConfigs[ci].protocol, cli);
                    params.redbud.client.delegation = kConfigs[ci].delegation;
                    params.redbud.client.chunk_blocks =
@@ -66,6 +68,7 @@ int main(int argc, char** argv) {
                    };
                    auto r = run_workload(bed, w, opt);
                    *out = cluster->array().write_merge_ratio();
+                   *err = r.verify_failures + r.op_errors;
                    bench::write_obs_artifacts(
                        *cluster, "fig4_" + std::to_string(kb) + "KB_" +
                                      std::string(kConfigs[ci].name));
@@ -79,14 +82,28 @@ int main(int argc, char** argv) {
   runner.run_all();
   runner.write_json("fig4_iomerge");
 
+  double gain[3] = {};
   for (int si = 0; si < 3; ++si) {
     const double* r = ratio[si];
-    const double gain = r[1] > 0 ? r[2] / r[1] : 0.0;
+    gain[si] = r[1] > 0 ? r[2] / r[1] : 0.0;
     table.add_row({std::to_string(kSizesKb[si]) + " KB",
                    core::Table::fmt(r[0], 3), core::Table::fmt(r[1], 3),
-                   core::Table::fmt(r[2], 3), core::Table::fmt_ratio(gain),
+                   core::Table::fmt(r[2], 3), core::Table::fmt_ratio(gain[si]),
                    "orig ~0; delegation 2.8-5.9x over DC"});
   }
   table.print(std::cout);
-  return 0;
+  if (!cli.check) return 0;
+
+  // Paper-claims gate.
+  bench::ClaimGate gate;
+  bool clean = true;
+  for (int si = 0; si < 3; ++si) {
+    gate.expect(gain[si] >= 2.8 && gain[si] <= 5.9,
+                std::to_string(kSizesKb[si]) + " KB: delegation gain " +
+                    core::Table::fmt_ratio(gain[si]) +
+                    " within the paper's 2.8-5.9x");
+    for (auto e : errors[si]) clean = clean && e == 0;
+  }
+  gate.expect(clean, "every read verified, no op errors");
+  return gate.ok() ? 0 : 1;
 }

@@ -71,11 +71,11 @@ int main() {
 
   Cluster cluster(params);
   cluster.start();
-  cluster.sim().spawn(
-      bursty_writer(cluster.sim(), cluster.client(0), 5, 1200));
-  cluster.sim().spawn(sampler(cluster.sim(), cluster.client(0)));
-  cluster.sim().run_until(SimTime::seconds(30));
-  cluster.sim().check_failures();
+  Simulation& host = cluster.client_sim(0);
+  host.spawn(bursty_writer(host, cluster.client(0), 5, 1200));
+  host.spawn(sampler(host, cluster.client(0)));
+  cluster.run_until(SimTime::seconds(30));
+  cluster.check_failures();
 
   auto& fs = cluster.client(0);
   std::printf("\nfinal: %llu commit RPCs for %llu commits "

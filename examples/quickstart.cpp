@@ -82,8 +82,11 @@ int main() {
 
   Cluster cluster(params);
   cluster.start();
-  cluster.sim().spawn(demo(cluster.sim(), cluster, cluster.client(0)));
-  cluster.sim().run_until(SimTime::seconds(10));
-  cluster.sim().check_failures();
+  // Client-side processes run on their client host's partition; the
+  // cluster drives every partition forward together.
+  Simulation& host = cluster.client_sim(0);
+  host.spawn(demo(host, cluster, cluster.client(0)));
+  cluster.run_until(SimTime::seconds(10));
+  cluster.check_failures();
   return 0;
 }

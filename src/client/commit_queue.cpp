@@ -32,6 +32,7 @@ void CommitQueue::set_obs(obs::Obs* obs, std::uint32_t client_id) {
   obs->registry.register_value("commit_queue.enqueued", labels, &enqueued_);
   obs->registry.register_value("commit_queue.merged", labels, &merged_);
   obs->registry.register_value("commit_queue.committed", labels, &committed_);
+  obs->registry.register_value("commit_queue.dropped", labels, &dropped_);
   obs->registry.register_value("commit_queue.depth", labels, &depth_);
   obs->registry.register_value("commit_queue.oldest_enqueued_us", labels,
                                &oldest_enqueued_us_);
@@ -103,6 +104,7 @@ SimFuture<Done> CommitQueue::wait_committed(net::FileId file) {
 void CommitQueue::drop(net::FileId file) {
   auto it = queued_.find(file);
   if (it == queued_.end()) return;
+  ++dropped_;
   for (auto& w : it->second.waiters) w.set_value(Done{});
   slab_->recycle(std::move(it->second));
   queued_.erase(it);
@@ -214,6 +216,8 @@ void CommitQueue::requeue(CommitTask task) {
     queued_.emplace(file, std::move(task));
     order_.push_front(file);
   } else {
+    // The failed task folds into the newer queued one: a merge.
+    ++merged_;
     CommitTask& q = it->second;
     q.extents.insert(q.extents.end(), task.extents.begin(),
                      task.extents.end());

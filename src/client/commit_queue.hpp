@@ -85,7 +85,9 @@ class CommitQueue {
       net::FileId file);
 
   // Drop the queued commit of a file (file removed before commit). Waiters
-  // are resolved — there is nothing left to commit.
+  // are resolved — there is nothing left to commit. Counted in
+  // dropped_total(), so once the queue drains
+  // enqueued == merged + committed + dropped.
   void drop(net::FileId file);
 
   // Daemon side: take up to `max` FIFO entries whose data writes are
@@ -118,6 +120,7 @@ class CommitQueue {
   [[nodiscard]] std::uint64_t enqueued_total() const { return enqueued_; }
   [[nodiscard]] std::uint64_t merged_total() const { return merged_; }
   [[nodiscard]] std::uint64_t committed_total() const { return committed_; }
+  [[nodiscard]] std::uint64_t dropped_total() const { return dropped_; }
   [[nodiscard]] redbud::sim::LatencyHistogram& commit_latency() {
     return commit_latency_;
   }
@@ -147,6 +150,7 @@ class CommitQueue {
   std::uint64_t enqueued_ = 0;
   std::uint64_t merged_ = 0;
   std::uint64_t committed_ = 0;
+  std::uint64_t dropped_ = 0;  // queued tasks discarded by drop()
   redbud::sim::LatencyHistogram commit_latency_;
   obs::Obs* obs_ = nullptr;
   obs::Track track_;  // client track group, commit-queue row

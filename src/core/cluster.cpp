@@ -19,12 +19,9 @@ Cluster::Cluster(ClusterParams params)
     : params_(std::move(params)),
       shard_map_(params_.nshards),
       obs_(params_.obs),
-      domain_(params_.nthreads, cluster_lookahead(params_),
-              params_.force_partitioned) {
+      domain_(params_.nthreads, cluster_lookahead(params_)) {
   // Partition layout: one event loop per MDS shard, one per client host,
-  // one for the disk array behind the FC fabric. A serial domain hands
-  // back the same single Simulation for every add_partition() call, so
-  // the wiring below covers both modes.
+  // one for the disk array behind the FC fabric.
   for (std::uint32_t s = 0; s < params_.nshards; ++s) {
     shard_sims_.push_back(&domain_.add_partition());
   }
@@ -33,18 +30,12 @@ Cluster::Cluster(ClusterParams params)
   }
   redbud::sim::Simulation& array_sim = domain_.add_partition();
   array_sim_ = &array_sim;
-  if (domain_.parallel()) {
-    // Per-partition trace/metrics lanes, merged deterministically at read.
-    obs_.tracer.set_lane_count(domain_.nparts());
-  }
+  // Per-partition trace/metrics lanes, merged deterministically at read.
+  obs_.tracer.set_lane_count(domain_.nparts());
 
-  if (domain_.parallel()) {
-    network_ = std::make_unique<net::Network>(domain_, params_.network);
-  } else {
-    network_ = std::make_unique<net::Network>(*shard_sims_[0], params_.network);
-  }
-  array_ = std::make_unique<storage::DiskArray>(array_sim, params_.array);
-  array_->bind_domain(&domain_);
+  network_ = std::make_unique<net::Network>(domain_, params_.network);
+  array_ = std::make_unique<storage::DiskArray>(domain_, array_sim,
+                                                params_.array);
 
   // Metadata shards. Node ids are handed out in shard order before any
   // client node, so a one-shard cluster reproduces the single-MDS node

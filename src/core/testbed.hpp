@@ -46,16 +46,12 @@ class Testbed {
 
   void start();
 
-  [[nodiscard]] redbud::sim::Simulation& sim();
   [[nodiscard]] std::size_t nclients() const { return fs_.size(); }
   [[nodiscard]] fsapi::FsClient& fs(std::size_t i) { return *fs_[i]; }
   [[nodiscard]] Protocol protocol() const { return params_.protocol; }
 
-  // Partitioned-kernel dispatchers. Baselines are always serial, so these
-  // collapse to the plain Simulation calls for them (and for serial
-  // Redbud clusters).
-  [[nodiscard]] bool parallel() const;
-  // The partition simulating client host `i` (== sim() serially).
+  // The partition simulating client host `i`: spawn client-side processes
+  // here. A baseline stack is one Simulation, shared by every client.
   [[nodiscard]] redbud::sim::Simulation& client_sim(std::size_t i);
   void run_until(redbud::sim::SimTime t);
   [[nodiscard]] redbud::sim::SimTime now();

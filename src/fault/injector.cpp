@@ -28,9 +28,9 @@ redbud::sim::Simulation& FaultInjector::partition_of(const FaultEvent& e) {
     case FaultKind::kLinkPartition:
       return cluster_->client_sim(e.target);
     case FaultKind::kShardCrash:
-      return cluster_->shard_sim(e.target);
+      break;
   }
-  return cluster_->sim();
+  return cluster_->shard_sim(e.target);
 }
 
 void FaultInjector::arm() {

@@ -9,10 +9,7 @@
 namespace redbud::net {
 
 using redbud::sim::BitPipe;
-using redbud::sim::Done;
 using redbud::sim::Process;
-using redbud::sim::SimFuture;
-using redbud::sim::SimPromise;
 using redbud::sim::SimTime;
 using redbud::sim::SmallFn;
 
@@ -67,38 +64,6 @@ void Network::register_endpoint(NodeId n, RpcEndpoint* ep) {
   endpoints_[n] = ep;
 }
 
-Process Network::send_proc(NodeId from, NodeId to, std::size_t bytes,
-                           bool lost, SimTime extra, SimPromise<Done> p) {
-  co_await nodes_[from]->egress->transfer(bytes);
-  if (lost) co_return;  // frame left the NIC; the fabric ate it — `p`
-                        // is destroyed unresolved, waiters stay parked
-  co_await nodes_[from]->sim->delay(params_.switch_latency + extra);
-  co_await nodes_[to]->ingress->transfer(bytes);
-  p.set_value(Done{});
-}
-
-SimFuture<Done> Network::send(NodeId from, NodeId to, std::size_t bytes) {
-  assert(from < nodes_.size() && to < nodes_.size());
-  assert(nodes_[from]->partition == nodes_[to]->partition &&
-         "send() across partitions — use deliver()");
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  Node& src = *nodes_[from];
-  // Fault decisions happen synchronously at entry so the per-node RNG
-  // draw order is the call order — the same FIFO argument that makes the
-  // parallel egress reservation match the serial coroutine order.
-  const bool lost = lose_frame(src);
-  if (lost) {
-    ++src.dropped;
-    drops_.fetch_add(1, std::memory_order_relaxed);
-  }
-  SimPromise<Done> p(*src.sim);
-  auto fut = p.future();
-  src.sim->spawn(send_proc(from, to, bytes, lost, src.extra_delay,
-                           std::move(p)));
-  return fut;
-}
-
 Process Network::deliver_proc(NodeId from, NodeId to, std::size_t bytes,
                               bool lost, SimTime extra, SmallFn done) {
   co_await nodes_[from]->egress->transfer(bytes);
@@ -115,10 +80,11 @@ void Network::deliver(NodeId from, NodeId to, std::size_t bytes,
   bytes_.fetch_add(bytes, std::memory_order_relaxed);
   Node& src = *nodes_[from];
   Node& dst = *nodes_[to];
-  // Loss draw + delay read at entry, in the source partition, in call
-  // order (see send()). The serial coroutine still makes the egress
-  // reservation at its own run point so reservation ordering between
-  // dropped and delivered frames is unchanged from the lossless path.
+  // Fault decisions happen synchronously at entry, in the source
+  // partition, so the per-node RNG draw order is the call order. The
+  // local coroutine still makes the egress reservation at its own run
+  // point so reservation ordering between dropped and delivered frames is
+  // unchanged from the lossless path.
   const bool lost = lose_frame(src);
   if (lost) {
     ++src.dropped;
@@ -130,8 +96,8 @@ void Network::deliver(NodeId from, NodeId to, std::size_t bytes,
     return;
   }
   // Cross-partition hop. The egress reservation is made synchronously in
-  // the sender's partition — same instant and FIFO order as the serial
-  // send coroutine, whose first action is the egress transfer. Arrival at
+  // the sender's partition — same instant and FIFO order as the local
+  // coroutine, whose first action is the egress transfer. Arrival at
   // the switch output is egress-arrival + switch latency, which is at
   // least link + switch >= domain lookahead in the future, so it is a
   // legal mailbox injection into the receiver's partition, where the

@@ -6,13 +6,14 @@
 // queue back up, and when NFS3 funnels all data through one server, that
 // server's NIC saturates.
 //
-// Under a parallel SimDomain the switch is the only cross-partition edge:
-// each node's pipes live in the partition that simulates the node, and a
-// remote send becomes a timestamped mailbox push — the egress reservation
-// happens synchronously in the sender's partition (same instant and FIFO
-// order as the serial kernel's send coroutine), the ingress reservation
-// and completion callback run in the receiver's partition at
-// egress-arrival + switch latency, which is >= the domain lookahead.
+// Under a SimDomain the switch is the only cross-partition edge: each
+// node's pipes live in the partition that simulates the node, and a
+// remote delivery becomes a timestamped mailbox push — the egress
+// reservation happens synchronously in the sender's partition, the
+// ingress reservation and completion callback run in the receiver's
+// partition at egress-arrival + switch latency, which is >= the domain
+// lookahead. A network built on one Simulation (the baseline stacks) is a
+// single partition, so every delivery stays local.
 #pragma once
 
 #include <atomic>
@@ -20,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/future.hpp"
 #include "sim/parallel.hpp"
 #include "sim/pipe.hpp"
 #include "sim/random.hpp"
@@ -53,9 +53,10 @@ struct NetworkParams {
 
 class Network {
  public:
+  // Single-partition network: every node lives in `sim`.
   Network(redbud::sim::Simulation& sim, NetworkParams params);
-  // Parallel-capable network: nodes must be added with an owning
-  // partition via add_node(Simulation&, ...).
+  // Partitioned network: nodes must be added with an owning partition via
+  // add_node(Simulation&, ...).
   Network(redbud::sim::SimDomain& domain, NetworkParams params);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -66,21 +67,11 @@ class Network {
   NodeId add_node(redbud::sim::Simulation& owner,
                   double nic_bytes_per_second = 0.0);
 
-  // Move `bytes` from `from` to `to`; the future resolves when the last
-  // byte has been received (egress queueing + fabric + ingress queueing).
-  // Requires both nodes in the same partition (always true serially).
-  [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> send(
-      NodeId from, NodeId to, std::size_t bytes);
-
-  // Move `bytes` from `from` to `to` and run `done` in the *receiver's*
-  // partition when the last byte arrives. The cross-partition primitive;
-  // also valid (and equivalent to send) within one partition.
+  // Move `bytes` from `from` to `to` (egress queueing + fabric + ingress
+  // queueing) and run `done` in the *receiver's* partition when the last
+  // byte arrives.
   void deliver(NodeId from, NodeId to, std::size_t bytes,
                redbud::sim::SmallFn done);
-
-  [[nodiscard]] bool parallel() const {
-    return domain_ != nullptr && domain_->parallel();
-  }
 
   // RPC endpoint directory, so a reply can be routed to the caller's
   // partition without the server ever touching caller state directly.
@@ -89,7 +80,7 @@ class Network {
     return n < endpoints_.size() ? endpoints_[n] : nullptr;
   }
 
-  // The partition simulating node `n` (the network's own sim serially).
+  // The partition simulating node `n`.
   [[nodiscard]] redbud::sim::Simulation& node_sim(NodeId n) {
     return *nodes_[n]->sim;
   }
@@ -111,12 +102,12 @@ class Network {
   // --- fault injection ------------------------------------------------------
   // All fault state is per *source* node and is read/written only from the
   // source's own partition: the loss draw and the extra-delay read happen
-  // synchronously at deliver()/send() entry, in per-node RNG streams whose
-  // draw order equals the call order — identical serial and parallel, for
-  // any worker count. A dropped frame still occupies its slot on the
-  // sender's egress pipe (the NIC transmitted it; the fabric lost it) but
-  // never arrives: the completion callback is never run, the send future
-  // never resolves, and recovery is the caller's (RPC retry) problem.
+  // synchronously at deliver() entry, in per-node RNG streams whose draw
+  // order equals the call order — identical for any worker count. A
+  // dropped frame still occupies its slot on the sender's egress pipe (the
+  // NIC transmitted it; the fabric lost it) but never arrives: the
+  // completion callback is never run, and recovery is the caller's (RPC
+  // retry) problem.
   // Must be called from the node's owning partition.
   void set_link_loss(NodeId n, double loss_rate);
   // Fixed extra one-way latency added to every frame leaving `n` (a
@@ -168,9 +159,6 @@ class Network {
            src.fault_rng.next_double() < src.loss_rate;
   }
 
-  redbud::sim::Process send_proc(NodeId from, NodeId to, std::size_t bytes,
-                                 bool lost, redbud::sim::SimTime extra,
-                                 redbud::sim::SimPromise<redbud::sim::Done> p);
   redbud::sim::Process deliver_proc(NodeId from, NodeId to,
                                     std::size_t bytes, bool lost,
                                     redbud::sim::SimTime extra,
@@ -181,7 +169,7 @@ class Network {
   NetworkParams params_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<RpcEndpoint*> endpoints_;
-  // Relaxed atomics: bumped from whichever partition initiates a send.
+  // Relaxed atomics: bumped from whichever partition initiates a delivery.
   std::atomic<std::uint64_t> messages_{0};
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> drops_{0};

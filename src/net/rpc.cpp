@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iomanip>
+#include <iterator>
 #include <ostream>
 #include <utility>
 
@@ -10,7 +11,6 @@
 
 namespace redbud::net {
 
-using redbud::sim::Process;
 using redbud::sim::SimFuture;
 using redbud::sim::SimPromise;
 using redbud::sim::SimTime;
@@ -62,22 +62,13 @@ struct RespSize {
   }
 };
 
-struct OpName {
-  const char* operator()(const CreateReq&) const { return "create"; }
-  const char* operator()(const LookupReq&) const { return "lookup"; }
-  const char* operator()(const LayoutGetReq&) const { return "layout_get"; }
-  const char* operator()(const CommitReq&) const { return "commit"; }
-  const char* operator()(const DelegateReq&) const { return "delegate"; }
-  const char* operator()(const DelegateReturnReq&) const {
-    return "delegate_return";
-  }
-  const char* operator()(const RemoveReq&) const { return "remove"; }
-  const char* operator()(const StatReq&) const { return "stat"; }
-  const char* operator()(const NfsWriteReq&) const { return "nfs_write"; }
-  const char* operator()(const NfsCommitReq&) const { return "nfs_commit"; }
-  const char* operator()(const NfsReadReq&) const { return "nfs_read"; }
-  const char* operator()(const PvfsIoReq&) const { return "pvfs_io"; }
-};
+// op_name() per RequestBody alternative, in the variant's declaration
+// order (protocol.hpp).
+constexpr const char* kOpNames[] = {
+    "create",    "lookup",          "layout_get", "commit",
+    "delegate",  "delegate_return", "remove",     "stat",
+    "nfs_write", "nfs_commit",      "nfs_read",   "pvfs_io"};
+static_assert(std::size(kOpNames) == std::variant_size_v<RequestBody>);
 
 }  // namespace
 
@@ -88,14 +79,14 @@ std::size_t wire_size(const ResponseBody& body) {
   return std::visit(RespSize{}, body);
 }
 const char* op_name(const RequestBody& body) {
-  return std::visit(OpName{}, body);
+  return kOpNames[body.index()];
 }
 
 RpcEndpoint::RpcEndpoint(redbud::sim::Simulation& sim, Network& net,
                          NodeId node)
     : sim_(&sim), net_(&net), node_(node), incoming_(sim) {
-  // Directory entry so a parallel-mode reply can be routed back to this
-  // endpoint's partition without the server touching caller state.
+  // Directory entry so a reply can be routed back to this endpoint's
+  // partition without the server touching caller state.
   net.register_endpoint(node, this);
 }
 
@@ -105,7 +96,7 @@ SimFuture<ResponseBody> RpcEndpoint::call(RpcEndpoint& server,
   const std::uint64_t xid = next_xid_++;
   const std::size_t bytes = kRpcHeaderBytes + wire_size(body);
 
-  const char* op = op_name(body);
+  const std::size_t op = body.index();
   SimPromise<ResponseBody> promise(*sim_);
   auto fut = promise.future();
   // The wire span is minted here and carried to the server in the message
@@ -117,24 +108,22 @@ SimFuture<ResponseBody> RpcEndpoint::call(RpcEndpoint& server,
 
   ++calls_sent_;
   req_bytes_sent_ += bytes;
-  auto& st = op_stats_[op];
+  auto& st = ops_[op];
   ++st.sent;
   st.bytes_sent += bytes;
-  if (net_->parallel()) {
-    // Cross-partition request: arrival bookkeeping runs in the server's
-    // partition when the last byte lands there.
-    net_->deliver(node_, server.node_, bytes,
-                  [srv = &server, xid, from = node_, body = std::move(body),
-                   rpc_ctx]() mutable {
-                    srv->receive_request(xid, from, std::move(body), rpc_ctx,
-                                         false);
-                  });
-  } else {
-    server.peers_[node_] = this;
-    sim_->spawn(
-        deliver_request(&server, xid, std::move(body), bytes, rpc_ctx, false));
-  }
+  send_request(server, xid, std::move(body), bytes, rpc_ctx, false);
   return fut;
+}
+
+void RpcEndpoint::send_request(RpcEndpoint& server, std::uint64_t xid,
+                               RequestBody body, std::size_t bytes,
+                               obs::TraceContext ctx, bool retryable) {
+  net_->deliver(node_, server.node_, bytes,
+                [srv = &server, xid, from = node_, body = std::move(body), ctx,
+                 retryable]() mutable {
+                  srv->receive_request(xid, from, std::move(body), ctx,
+                                       retryable);
+                });
 }
 
 SimFuture<RpcResult> RpcEndpoint::call_retry(RpcEndpoint& server,
@@ -155,7 +144,7 @@ SimFuture<RpcResult> RpcEndpoint::call_retry(RpcEndpoint& server,
   auto fut = promise.future();
   obs::TraceContext rpc_ctx;
   if (obs_ != nullptr && ctx.active()) rpc_ctx = obs_->tracer.child(ctx);
-  const char* op = op_name(body);
+  const std::size_t op = body.index();
   auto [it, inserted] = retry_pending_.emplace(
       xid,
       RetryCall{std::move(promise), sim_->now(), sim_->now(), policy,
@@ -175,7 +164,7 @@ SimFuture<RpcResult> RpcEndpoint::call_result(RpcEndpoint& server,
   auto fut = promise.future();
   obs::TraceContext rpc_ctx;
   if (obs_ != nullptr && ctx.active()) rpc_ctx = obs_->tracer.child(ctx);
-  const char* op = op_name(body);
+  const std::size_t op = body.index();
   auto [it, inserted] = retry_pending_.emplace(
       xid,
       RetryCall{std::move(promise), sim_->now(), sim_->now(), RetryPolicy{},
@@ -190,24 +179,12 @@ void RpcEndpoint::transmit(std::uint64_t xid, RetryCall& rc) {
   const std::size_t bytes = kRpcHeaderBytes + wire_size(rc.body);
   ++calls_sent_;
   req_bytes_sent_ += bytes;
-  auto& st = op_stats_[rc.op];
+  auto& st = ops_[rc.op];
   ++st.sent;
   st.bytes_sent += bytes;
   rc.sent_at = sim_->now();
-  RequestBody copy = rc.body;  // the original stays for retransmission
-  if (net_->parallel()) {
-    net_->deliver(node_, rc.server->node_, bytes,
-                  [srv = rc.server, xid, from = node_,
-                   body = std::move(copy), rpc_ctx = rc.rpc_ctx,
-                   retryable = rc.retryable]() mutable {
-                    srv->receive_request(xid, from, std::move(body), rpc_ctx,
-                                         retryable);
-                  });
-  } else {
-    rc.server->peers_[node_] = this;
-    sim_->spawn(deliver_request(rc.server, xid, std::move(copy), bytes,
-                                rc.rpc_ctx, rc.retryable));
-  }
+  // A copy: the original stays for retransmission.
+  send_request(*rc.server, xid, rc.body, bytes, rc.rpc_ctx, rc.retryable);
 }
 
 void RpcEndpoint::arm_retry_timer(std::uint64_t xid,
@@ -240,13 +217,6 @@ void RpcEndpoint::on_retry_timeout(std::uint64_t xid) {
   arm_retry_timer(xid, rc.cur_timeout);
 }
 
-Process RpcEndpoint::deliver_request(RpcEndpoint* server, std::uint64_t xid,
-                                     RequestBody body, std::size_t bytes,
-                                     obs::TraceContext ctx, bool retryable) {
-  co_await net_->send(node_, server->node_, bytes);
-  server->receive_request(xid, node_, std::move(body), ctx, retryable);
-}
-
 void RpcEndpoint::receive_request(std::uint64_t xid, NodeId from,
                                   RequestBody body, obs::TraceContext ctx,
                                   bool retryable) {
@@ -272,7 +242,7 @@ void RpcEndpoint::receive_request(std::uint64_t xid, NodeId from,
     }
   }
   ++calls_received_;
-  ++op_stats_[op_name(body)].received;
+  ++ops_[body.index()].received;
   const bool ok = incoming_.try_send(
       IncomingRpc{xid, from, std::move(body), ctx, retryable});
   assert(ok);
@@ -307,33 +277,21 @@ void RpcEndpoint::reply(const IncomingRpc& rpc, ResponseBody body) {
 void RpcEndpoint::send_response(NodeId to, std::uint64_t xid,
                                 ResponseBody body) {
   const std::size_t bytes = kRpcHeaderBytes + wire_size(body);
-  if (net_->parallel()) {
-    // Route the response through the endpoint directory: completion runs
-    // in the caller's partition at wire arrival.
-    RpcEndpoint* peer = net_->endpoint(to);
-    assert(peer != nullptr && "reply to an unregistered endpoint");
-    net_->deliver(node_, to, bytes,
-                  [peer, xid, body = std::move(body)]() mutable {
-                    peer->complete_call(xid, std::move(body));
-                  });
-    return;
-  }
-  sim_->spawn(deliver_response(to, xid, std::move(body), bytes));
-}
-
-Process RpcEndpoint::deliver_response(NodeId to, std::uint64_t xid,
-                                      ResponseBody body, std::size_t bytes) {
-  co_await net_->send(node_, to, bytes);
-  auto it = peers_.find(to);
-  assert(it != peers_.end());
-  it->second->complete_call(xid, std::move(body));
+  // Route the response through the endpoint directory: completion runs in
+  // the caller's partition at wire arrival.
+  RpcEndpoint* peer = net_->endpoint(to);
+  assert(peer != nullptr && "reply to an unregistered endpoint");
+  net_->deliver(node_, to, bytes,
+                [peer, xid, body = std::move(body)]() mutable {
+                  peer->complete_call(xid, std::move(body));
+                });
 }
 
 void RpcEndpoint::complete_call(std::uint64_t xid, ResponseBody body) {
   if (auto it = pending_.find(xid); it != pending_.end()) {
     const SimTime rtt = sim_->now() - it->second.sent_at;
     rtt_.record(rtt);
-    if (it->second.op != nullptr) op_stats_[it->second.op].rtt.record(rtt);
+    ops_[it->second.op].rtt.record(rtt);
     if (obs_ != nullptr && it->second.rpc_ctx.active()) {
       obs_->tracer.record(obs::Stage::kRpcWire, it->second.rpc_ctx,
                           it->second.parent, track_, it->second.sent_at,
@@ -349,7 +307,7 @@ void RpcEndpoint::complete_call(std::uint64_t xid, ResponseBody body) {
     // per-attempt matching a real XID cache would do is not worth it).
     const SimTime rtt = sim_->now() - it->second.sent_at;
     rtt_.record(rtt);
-    if (it->second.op != nullptr) op_stats_[it->second.op].rtt.record(rtt);
+    ops_[it->second.op].rtt.record(rtt);
     if (obs_ != nullptr && it->second.rpc_ctx.active()) {
       obs_->tracer.record(obs::Stage::kRpcWire, it->second.rpc_ctx,
                           it->second.parent, track_, it->second.first_sent_at,
@@ -386,14 +344,25 @@ void RpcEndpoint::set_down(bool down) {
 
 SimTime RpcEndpoint::mean_rtt() const { return rtt_.mean(); }
 
+std::map<std::string, RpcEndpoint::OpStats> RpcEndpoint::op_stats() const {
+  std::map<std::string, OpStats> out;
+  for (std::size_t i = 0; i < kNumOps; ++i) {
+    const OpStats& st = ops_[i];
+    if (st.sent == 0 && st.received == 0) continue;
+    out.emplace(kOpNames[i], st);
+  }
+  return out;
+}
+
 void RpcEndpoint::dump(std::ostream& out, const std::string& label) const {
-  if (op_stats_.empty()) return;
+  const auto stats = op_stats();
+  if (stats.empty()) return;
   out << "per-op RPC stats [" << label << "]\n";
   out << "  " << std::left << std::setw(16) << "op" << std::right
       << std::setw(10) << "sent" << std::setw(10) << "served" << std::setw(14)
       << "bytes_sent" << std::setw(14) << "mean_rtt_us" << std::setw(13)
       << "p99_rtt_us" << "\n";
-  for (const auto& [op, st] : op_stats_) {
+  for (const auto& [op, st] : stats) {
     out << "  " << std::left << std::setw(16) << op << std::right
         << std::setw(10) << st.sent << std::setw(10) << st.received
         << std::setw(14) << st.bytes_sent;

@@ -7,6 +7,7 @@
 // compound controller reads.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -14,6 +15,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 
 #include "obs/obs.hpp"
 #include "sim/channel.hpp"
@@ -160,17 +162,17 @@ class RpcEndpoint {
   [[nodiscard]] redbud::sim::SimTime mean_rtt() const;
   [[nodiscard]] redbud::sim::LatencyHistogram& rtt() { return rtt_; }
 
-  // Per-op accounting, keyed by op_name(): calls issued/served by this
-  // endpoint, request bytes, and client-side round-trip histograms.
+  // Per-op accounting: calls issued/served by this endpoint, request
+  // bytes, and client-side round-trip histograms.
   struct OpStats {
     std::uint64_t sent = 0;          // calls issued from this endpoint
     std::uint64_t received = 0;      // requests that arrived here
     std::uint64_t bytes_sent = 0;    // request bytes incl. framing
     redbud::sim::LatencyHistogram rtt;  // completed round trips
   };
-  [[nodiscard]] const std::map<std::string, OpStats>& op_stats() const {
-    return op_stats_;
-  }
+  // Snapshot keyed by op_name(), holding every op this endpoint sent or
+  // received. Built on each call; meant for end-of-run reporting.
+  [[nodiscard]] std::map<std::string, OpStats> op_stats() const;
   // Render the per-op table (op, sent, served, mean/p99 RTT) to `out`,
   // prefixed with `label`. Prints nothing when no ops were recorded.
   void dump(std::ostream& out, const std::string& label) const;
@@ -178,10 +180,14 @@ class RpcEndpoint {
  private:
   friend class RpcRegistry;
 
+  // Live per-op counters, indexed by the request's variant alternative so
+  // the per-RPC path never builds a string key.
+  static constexpr std::size_t kNumOps = std::variant_size_v<RequestBody>;
+
   struct PendingCall {
     redbud::sim::SimPromise<ResponseBody> promise;
     redbud::sim::SimTime sent_at;
-    const char* op = nullptr;  // op_name() of the request, for op_stats_
+    std::size_t op = 0;  // RequestBody index of the request, into ops_
     obs::TraceContext rpc_ctx;   // the rpc-wire span (inert when untraced)
     std::uint64_t parent = 0;    // caller's span, parent of the wire span
   };
@@ -198,7 +204,7 @@ class RpcEndpoint {
     bool retryable = false;  // false: call_result(), no timer, no body copy
     RequestBody body;        // kept only for retransmission
     RpcEndpoint* server = nullptr;
-    const char* op = nullptr;
+    std::size_t op = 0;
     obs::TraceContext rpc_ctx;
     std::uint64_t parent = 0;
   };
@@ -212,13 +218,12 @@ class RpcEndpoint {
            (xid & 0xffffffffffffull);
   }
 
-  redbud::sim::Process deliver_request(RpcEndpoint* server, std::uint64_t xid,
-                                       RequestBody body, std::size_t bytes,
-                                       obs::TraceContext ctx, bool retryable);
-  redbud::sim::Process deliver_response(NodeId to, std::uint64_t xid,
-                                        ResponseBody body, std::size_t bytes);
+  // Put a request on the wire towards `server`; arrival bookkeeping runs in
+  // the server's partition when the last byte lands there.
+  void send_request(RpcEndpoint& server, std::uint64_t xid, RequestBody body,
+                    std::size_t bytes, obs::TraceContext ctx, bool retryable);
   // Server-side arrival bookkeeping + enqueue. Runs in the server's
-  // partition (directly from the wire-arrival event in parallel mode).
+  // partition, from the wire-arrival event.
   void receive_request(std::uint64_t xid, NodeId from, RequestBody body,
                        obs::TraceContext ctx, bool retryable);
   void complete_call(std::uint64_t xid, ResponseBody body);
@@ -237,8 +242,6 @@ class RpcEndpoint {
   redbud::sim::Channel<IncomingRpc> incoming_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   std::unordered_map<std::uint64_t, RetryCall> retry_pending_;
-  // Reverse lookup: who do we send replies to. Registered on first call.
-  std::unordered_map<NodeId, RpcEndpoint*> peers_;
   // Server-side exactly-once-execution state for retryable requests:
   // requests currently queued or executing (duplicates dropped), and a
   // bounded FIFO cache of sent replies (duplicates answered from cache).
@@ -258,7 +261,7 @@ class RpcEndpoint {
   std::uint64_t late_replies_ = 0;
   std::uint64_t dropped_while_down_ = 0;
   redbud::sim::LatencyHistogram rtt_;
-  std::map<std::string, OpStats> op_stats_;
+  std::array<OpStats, kNumOps> ops_;
   obs::Obs* obs_ = nullptr;
   obs::Track track_;
 };

@@ -12,13 +12,13 @@
 // instant — it never schedules events, never allocates sequence numbers
 // and never suspends anything. Enabling sampling therefore cannot change
 // the event order of a run; fig3/fig4 replay digests are byte-identical
-// with sampling on or off. In a partitioned domain the probe fires on the
+// with sampling on or off. In a SimDomain the probe fires on the
 // coordinator thread between synchronization rounds while every worker is
 // parked at the barrier, so registry reads are race-free, and because the
 // firing sequence depends only on the deterministic series of round start
-// times, sampled series are bit-identical across worker counts under
-// force_partitioned (instants inside a window lag by < lookahead of
-// simulated time — see SimDomain::set_probe).
+// times, sampled series are bit-identical across worker counts (instants
+// inside a window lag by < lookahead of simulated time — see
+// SimDomain::set_probe).
 //
 // The channel set is frozen at the first sample (sorted registry order:
 // counters, then raw values, then gauges); instruments registered later

@@ -122,7 +122,7 @@ class Tracer {
 
   // Partitioned kernels give every partition its own tracer lane so spans
   // can be recorded from worker threads without locks. Lane 0 keeps the
-  // plain id counters (so serial runs are untouched); lane i >= 1 tags its
+  // plain id counters (as a lone Simulation uses them); lane i >= 1 tags its
   // ids with i << 48. Lanes are merged deterministically — spans sorted by
   // (start, trace, span, ...) with per-lane-deterministic contents — the
   // first time the span log or stage histograms are read after a run.
@@ -184,7 +184,7 @@ class Tracer {
 
  private:
   // Per-partition recording state for lanes >= 1; lane 0 lives directly in
-  // the members below so serial tracing stays exactly as it was.
+  // the members below, which are all a single-lane tracer uses.
   struct Lane {
     std::uint64_t tag = 0;  // high bits OR-ed into every minted id
     std::uint64_t next_trace = 0;
@@ -196,7 +196,7 @@ class Tracer {
   };
 
   // The lane of the partition the calling thread is executing, or nullptr
-  // for lane 0 / serial operation.
+  // for lane 0 / a single-lane tracer.
   [[nodiscard]] Lane* lane() {
     if (extra_lanes_.empty()) return nullptr;
     const std::uint32_t p = redbud::sim::Simulation::current_partition();

@@ -17,13 +17,12 @@
 //   4. barrier; go to 1.
 //
 // Determinism contract: within a partition events replay in exact
-// (time, seq) order — run_window() is the same merge loop as the serial
-// kernel. Cross-partition injections are sequenced by
+// (time, seq) order — run_window() is the same merge loop as
+// Simulation::run_until. Cross-partition injections are sequenced by
 // (time, src_partition, src_seq) before delivery, so the target's sequence
 // numbers are assigned identically for any worker count, and a given
-// config + seed + partition count replays identically for nthreads 2, 4, 8.
-// With nthreads <= 1 the domain holds exactly one partition and delegates
-// to Simulation::run_until — byte-identical to the serial kernel.
+// config + seed + partition count replays identically for any nthreads,
+// including 1, where the coordinator thread runs every partition itself.
 //
 // Threading model: only the worker that is currently running partition P
 // touches P's state; the coordinator thread touches it only between
@@ -104,33 +103,22 @@ struct KernelProfile {
 
 class SimDomain {
  public:
-  // nthreads <= 1 selects the serial kernel: add_partition() returns one
-  // shared Simulation and run_until() is a plain delegation. Passing
-  // force_partitioned = true keeps the partitioned window algorithm even
-  // at nthreads == 1 (the coordinator runs every partition itself): same
-  // partition layout, staged injections and round loop as nthreads >= 2,
-  // so results are bit-identical across {1, 2, 4, ...} workers. Use it
-  // when a run must be reproducible for ANY worker count; the classic
-  // serial kernel remains the nthreads == 1 default because it needs no
-  // lookahead and its event interleaving is pinned by replay goldens.
+  // nthreads workers (0 counts as 1) run the window algorithm; at
+  // nthreads == 1 the coordinator thread runs every partition itself, with
+  // the same partition layout, staged injections and round loop, so
+  // results are bit-identical across {1, 2, 4, ...} workers.
   explicit SimDomain(unsigned nthreads = 1,
-                     SimTime lookahead = SimTime::micros(40),
-                     bool force_partitioned = false);
+                     SimTime lookahead = SimTime::micros(40));
   SimDomain(const SimDomain&) = delete;
   SimDomain& operator=(const SimDomain&) = delete;
   ~SimDomain();
 
-  [[nodiscard]] bool parallel() const {
-    return nthreads_ > 1 || force_partitioned_;
-  }
   [[nodiscard]] unsigned nthreads() const { return nthreads_; }
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
 
-  // Parallel domains get one fresh partition per call; a serial domain
-  // returns the same single Simulation every time, so cluster wiring can
-  // be written once for both modes.
+  // One fresh partition per call. All partitions must exist before the
+  // first run_until.
   Simulation& add_partition();
-  [[nodiscard]] Simulation& partition(std::size_t i) { return *parts_[i]; }
   [[nodiscard]] std::size_t nparts() const { return parts_.size(); }
 
   // Cross-partition event injection (the "mailbox push"). Must satisfy
@@ -151,23 +139,20 @@ class SimDomain {
 
   // ---- Off-event probe (domain form; see Simulation::set_probe) ---------
   //
-  // Serial domains delegate to the single partition's in-loop probe, so a
-  // grid instant samples exactly the t_k^- state. Parallel domains fire
-  // from the coordinator between synchronization rounds: before a round
-  // starting at min-time m, every pending instant <= m fires — at that
-  // point all events strictly before m have executed in every partition,
-  // and no event at >= m has, so the instant-m sample is exact and earlier
-  // instants lag by less than one window (< lookahead, 40 us of simulated
-  // time). The firing sequence depends only on the deterministic series of
-  // round start times, so samples are bit-identical for any worker count
-  // under force_partitioned. The callback runs on the coordinator thread
+  // The probe fires from the coordinator between synchronization rounds:
+  // before a round starting at min-time m, every pending instant <= m
+  // fires — at that point all events strictly before m have executed in
+  // every partition, and no event at >= m has, so the instant-m sample is
+  // exact and earlier instants lag by less than one window (< lookahead,
+  // 40 us of simulated time). The firing sequence depends only on the deterministic series of
+  // round start times, so samples are bit-identical for any worker count.
+  // The callback runs on the coordinator thread
   // while all workers are parked at the barrier.
   void set_probe(SimTime first, SimTime stride, void* ctx,
                  Simulation::ProbeFn fn);
 
   // Kernel self-profile: wall-clock accounting accumulated across every
-  // run_until call so far. Serial domains report one partition and one
-  // worker whose busy time is the whole run (no rounds, no stalls).
+  // run_until call so far.
   [[nodiscard]] KernelProfile kernel_profile() const;
 
  private:
@@ -209,12 +194,11 @@ class SimDomain {
 
   unsigned nthreads_;
   SimTime lookahead_;
-  bool force_partitioned_;
   std::vector<std::unique_ptr<Simulation>> parts_;
   std::vector<Lane> lanes_;
   std::vector<Injection> deliver_buf_;
 
-  // Probe state (parallel domains only; serial delegates to partition 0).
+  // Probe state.
   SimTime probe_next_ = SimTime::max();
   SimTime probe_stride_ = SimTime::zero();
   void* probe_ctx_ = nullptr;
@@ -228,7 +212,6 @@ class SimDomain {
   std::uint64_t rounds_ = 0;
   std::uint64_t wall_ns_ = 0;
   std::uint64_t injections_delivered_ = 0;
-  std::uint64_t injections_staged_serial_ = 0;  // direct posts (serial mode)
   // Wall-clock stamp taken just before the round_gen_ release-increment;
   // workers read it after their acquire load to account wake latency.
   std::uint64_t round_start_wall_ns_ = 0;

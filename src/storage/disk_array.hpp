@@ -6,6 +6,12 @@
 // share one FC fabric pipe, so heavy large-file traffic queues there —
 // which is why Redbud still beats NFS3 on large files (NFS3 pushes data
 // through the single server's 1 Gb Ethernet NIC instead).
+//
+// The array lives in its own partition of a SimDomain. Every I/O is a
+// request hop over the fabric (one FC propagation delay) and a completion
+// hop back to the issuer's partition: a write resolves only when the
+// durable ack has crossed the fabric, so a commit can never be sent before
+// its data is on the platter.
 #pragma once
 
 #include <cstdint>
@@ -33,43 +39,32 @@ struct ArrayParams {
 
 class DiskArray {
  public:
-  DiskArray(redbud::sim::Simulation& sim, ArrayParams params);
+  // `sim` is the array's own partition of `domain`.
+  DiskArray(redbud::sim::SimDomain& domain, redbud::sim::Simulation& sim,
+            ArrayParams params);
   DiskArray(const DiskArray&) = delete;
   DiskArray& operator=(const DiskArray&) = delete;
 
   // Spawn per-device dispatch daemons. Call once before any I/O.
   void start();
 
-  // Attach the partitioned domain (parallel clusters only). The array and
-  // its schedulers live in `sim_`'s partition; cross-partition issuers
-  // reach it through timestamped FC-latency mailbox hops.
-  void bind_domain(redbud::sim::SimDomain* domain) { domain_ = domain; }
-  [[nodiscard]] bool parallel() const {
-    return domain_ != nullptr && domain_->parallel();
-  }
-
-  // Data-path write: FC transfer of the payload, then the device write.
-  // Resolves when the blocks are durable on the platter.
-  [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> write(
-      PhysAddr addr, std::uint32_t nblocks, std::vector<ContentToken> tokens);
-  // Partition-aware variant: the completion resolves in `issuer`'s
-  // partition. Serially identical to write() above.
+  // Data-path write issued from partition `issuer`: FC transfer of the
+  // payload, the device write, then the durable ack back over the fabric.
+  // Resolves in `issuer`'s partition once the blocks are on the platter
+  // and the ack has arrived.
   [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> write(
       redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks,
       std::vector<ContentToken> tokens);
 
-  // Data-path read: device read, then FC transfer back. Fetch the tokens
-  // with peek() after the future resolves.
-  [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> read(
-      PhysAddr addr, std::uint32_t nblocks);
-  // Partition-aware read: resolves in `issuer`'s partition with the block
-  // tokens captured at read completion (a cross-partition issuer cannot
-  // peek() the device from its own thread).
-  [[nodiscard]] redbud::sim::SimFuture<std::vector<ContentToken>> read_tokens(
+  // Data-path read issued from partition `issuer`: device read, then the
+  // FC transfer back. Resolves in `issuer`'s partition with the block
+  // tokens captured at read completion (the issuer cannot peek() the
+  // device from its own partition).
+  [[nodiscard]] redbud::sim::SimFuture<std::vector<ContentToken>> read(
       redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks);
 
-  // Durable content inspection (used by reads after completion, by the
-  // crash-consistency checker, and by tests).
+  // Durable content inspection (used by the crash-consistency checker and
+  // by tests, between run_until calls).
   [[nodiscard]] std::vector<ContentToken> peek(PhysAddr addr,
                                                std::uint32_t nblocks) const;
 
@@ -99,14 +94,6 @@ class DiskArray {
   void reset_stats();
 
  private:
-  redbud::sim::Process write_proc(PhysAddr addr, std::uint32_t nblocks,
-                                  std::vector<ContentToken> tokens,
-                                  redbud::sim::SimPromise<redbud::sim::Done> p);
-  redbud::sim::Process read_proc(PhysAddr addr, std::uint32_t nblocks,
-                                 redbud::sim::SimPromise<redbud::sim::Done> p);
-  redbud::sim::Process read_tokens_proc(
-      PhysAddr addr, std::uint32_t nblocks,
-      redbud::sim::SimPromise<std::vector<ContentToken>> p);
   redbud::sim::Process write_arrival_proc(
       PhysAddr addr, std::uint32_t nblocks, std::vector<ContentToken> tokens,
       redbud::sim::SimPromise<redbud::sim::Done> p,
@@ -116,8 +103,8 @@ class DiskArray {
       redbud::sim::SimPromise<std::vector<ContentToken>> p,
       std::uint32_t issuer_partition);
 
+  redbud::sim::SimDomain* domain_;
   redbud::sim::Simulation* sim_;
-  redbud::sim::SimDomain* domain_ = nullptr;
   ArrayParams params_;
   std::vector<std::unique_ptr<Disk>> disks_;
   std::vector<std::unique_ptr<IoScheduler>> schedulers_;

@@ -87,8 +87,8 @@ class OpenLoopEngine {
   // Phase schedule, all ABSOLUTE simulated instants. Driving the phases
   // in-sim (rather than flipping flags from the host thread between
   // run_until calls) is what keeps open-loop runs bit-identical across
-  // worker counts: partition-local now() at a window boundary is not
-  // comparable between the serial and partitioned kernels.
+  // worker counts: partition-local now() inside a round is not a shared
+  // clock.
   struct Schedule {
     redbud::sim::SimTime start_at;       // first arrival no earlier than
     redbud::sim::SimTime measure_from;   // latencies recorded from here

@@ -44,20 +44,16 @@ void fill_result(core::Testbed& bed, Workload& w, SimTime measured,
   r.op_errors = ctx.op_errors;
 }
 
-// Partitioned-kernel driver. The structure mirrors the serial driver, but
-// every client gets its own WorkloadContext slot (independent RNG stream,
+}  // namespace
+
+// Every client gets its own WorkloadContext slot (independent RNG stream,
 // private stats) and its coroutines are spawned onto that client host's
-// partition. All driving goes through the domain (bed.run_until), and the
-// driver only touches contexts / ProcRefs while the domain is quiescent
-// between run_until calls — the domain barrier orders those accesses
-// against the worker threads. Slot stats merge into one result at the
-// end, so the report shape matches the serial driver.
-//
-// Note the RNG streams differ from the serial driver's single shared
-// stream by construction, so parallel and serial throughput numbers are
-// statistically comparable, not identical.
-WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
-                                     const RunOptions& opt) {
+// partition. All driving goes through the testbed (bed.run_until), and the
+// driver only touches contexts / ProcRefs between run_until calls — the
+// domain barrier orders those accesses against the worker threads. Slot
+// stats merge into one result at the end.
+WorkloadResult run_workload(core::Testbed& bed, Workload& w,
+                            const RunOptions& opt) {
   const std::size_t n = bed.nclients();
   w.presize(static_cast<std::uint32_t>(n));
 
@@ -101,6 +97,7 @@ WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
 
   SimTime measured;
   if (w.fixed_work()) {
+    // Measure the makespan of the whole job.
     if (opt.on_measure_start) opt.on_measure_start();
     for (auto& c : ctxs) c->measuring = true;
     const SimTime t0 = bed.now();
@@ -113,6 +110,7 @@ WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
     }
     measured = bed.now() - t0;
   } else {
+    // Warmup, then a measured window.
     bed.run_until(bed.now() + opt.warmup);
     for (auto& c : ctxs) c->reset_measurement();
     if (opt.on_measure_start) opt.on_measure_start();
@@ -123,6 +121,8 @@ WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
       c->stop = true;
     }
     measured = opt.duration;
+    // Drain: every thread must unwind before we return, or coroutine
+    // frames could outlive the Workload object they reference.
     const SimTime drain_deadline = bed.now() + SimTime::seconds(300);
     bool all_done = false;
     while (!all_done && bed.now() < drain_deadline) {
@@ -137,80 +137,6 @@ WorkloadResult run_workload_parallel(core::Testbed& bed, Workload& w,
   for (const auto& c : ctxs) total.merge_stats(*c);
   WorkloadResult r;
   fill_result(bed, w, measured, total, r);
-  return r;
-}
-
-}  // namespace
-
-WorkloadResult run_workload(core::Testbed& bed, Workload& w,
-                            const RunOptions& opt) {
-  if (bed.parallel()) return run_workload_parallel(bed, w, opt);
-  auto& sim = bed.sim();
-  WorkloadContext ctx(opt.seed);
-
-  // Preparation phase: run every client's prepare() to completion.
-  {
-    std::vector<ProcRef> preps;
-    for (std::size_t c = 0; c < bed.nclients(); ++c) {
-      preps.push_back(sim.spawn(
-          w.prepare(sim, bed.fs(c), static_cast<std::uint32_t>(c), ctx)));
-    }
-    bool all_done = false;
-    while (!all_done) {
-      sim.run_until(sim.now() + SimTime::seconds(1));
-      all_done = true;
-      for (const auto& p : preps) all_done = all_done && p.done();
-    }
-  }
-  sim.check_failures();
-
-  // Spawn the workload threads.
-  std::vector<ProcRef> threads;
-  for (std::size_t c = 0; c < bed.nclients(); ++c) {
-    for (std::uint32_t t = 0; t < w.threads_per_client(); ++t) {
-      threads.push_back(sim.spawn(w.thread(
-          sim, bed.fs(c), static_cast<std::uint32_t>(c), t, ctx)));
-    }
-  }
-
-  SimTime measured;
-  if (w.fixed_work()) {
-    // Measure the makespan of the whole job.
-    if (opt.on_measure_start) opt.on_measure_start();
-    ctx.measuring = true;
-    const SimTime t0 = sim.now();
-    const SimTime deadline = sim.now() + opt.time_limit;
-    bool all_done = false;
-    while (!all_done && sim.now() < deadline) {
-      sim.run_until(sim.now() + SimTime::millis(20));
-      all_done = true;
-      for (const auto& p : threads) all_done = all_done && p.done();
-    }
-    measured = sim.now() - t0;
-  } else {
-    // Warmup, then a measured window.
-    sim.run_until(sim.now() + opt.warmup);
-    ctx.reset_measurement();
-    if (opt.on_measure_start) opt.on_measure_start();
-    ctx.measuring = true;
-    sim.run_until(sim.now() + opt.duration);
-    ctx.measuring = false;
-    ctx.stop = true;
-    measured = opt.duration;
-    // Drain: every thread must unwind before we return, or coroutine
-    // frames could outlive the Workload object they reference.
-    const SimTime drain_deadline = sim.now() + SimTime::seconds(300);
-    bool all_done = false;
-    while (!all_done && sim.now() < drain_deadline) {
-      sim.run_until(sim.now() + SimTime::seconds(1));
-      all_done = true;
-      for (const auto& p : threads) all_done = all_done && p.done();
-    }
-  }
-  sim.check_failures();
-
-  WorkloadResult r;
-  fill_result(bed, w, measured, ctx, r);
   return r;
 }
 

@@ -31,9 +31,9 @@ TestbedParams small_bed(Protocol proto, std::uint32_t nclients = 2) {
 
 template <typename F>
 void run_bed(Testbed& bed, F body) {
-  auto ref = bed.sim().spawn(body(bed));
-  bed.sim().run_until(bed.sim().now() + SimTime::seconds(600));
-  bed.sim().check_failures();
+  auto ref = bed.client_sim(0).spawn(body(bed));
+  bed.run_until(bed.now() + SimTime::seconds(600));
+  bed.check_failures();
   ASSERT_TRUE(ref.done()) << "testbed body did not finish";
 }
 

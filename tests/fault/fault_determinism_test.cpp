@@ -1,19 +1,10 @@
-// Fault-schedule determinism. Two contracts, matching the kernel's:
-//
-//  1. Metadata plane, cross-kernel: a metadata-only churn under a full
-//     mixed fault schedule (slow disks, lossy links, a shard crash with
-//     failover) completes every op at the same simulated instant whether
-//     the kernel is serial or partitioned over 2 or 4 workers. Faults are
-//     partition-local timers and per-node RNG draws at send entry, so no
-//     part of the fault path may depend on worker interleaving.
-//
-//  2. Data plane, per-kernel double-run: a write/fsync churn replays
-//     itself exactly — op instants, event totals, drop counts — for each
-//     worker count. (Serial and partitioned data-path timings differ by
-//     design: the partitioned DiskArray charges the durable-ack FC hop
-//     that the serial path folds into the submit leg, so cross-kernel
-//     identity is only promised for the metadata plane, exactly like the
-//     pre-existing ParallelCluster contract.)
+// Fault-schedule determinism, the kernel's contract under faults: a
+// churn under a full mixed fault schedule (slow disks, lossy links, a
+// shard crash with failover) completes every op at the same simulated
+// instant, with the same event total and drop count, for any worker
+// count including 1 — on the metadata plane and on the data plane.
+// Faults are partition-local timers and per-node RNG draws at delivery
+// entry, so no part of the fault path may depend on worker interleaving.
 //
 // Naming: suites start with "Parallel" for the TSan job's `ctest -R
 // Parallel` filter.
@@ -133,20 +124,12 @@ Process data_churn(Simulation& sim, client::ClientFs& fs,
 
 struct RunDigest {
   std::uint64_t ops = 0;      // FNV over every op completion instant
-  std::uint64_t events = 0;   // kernel event total (per-mode quantity:
-                              // mailbox hops differ from coroutine hops,
-                              // so only compare at equal worker counts)
+  std::uint64_t events = 0;   // kernel event total
   std::uint64_t drops = 0;    // frames the lossy links ate
   std::uint64_t injected = 0;
   bool consistent = false;
 
   bool operator==(const RunDigest&) const = default;
-
-  // Cross-kernel comparison: everything except the event total.
-  [[nodiscard]] bool same_run(const RunDigest& o) const {
-    return ops == o.ops && drops == o.drops && injected == o.injected &&
-           consistent == o.consistent;
-  }
 };
 
 using Churn = Process (*)(Simulation&, client::ClientFs&, std::uint32_t,
@@ -220,26 +203,26 @@ TEST(ParallelFaultDeterminism, ScheduleIsAPureFunctionOfSeedAndTopology) {
 }
 
 TEST(ParallelFaultDeterminism, MetadataRunIdenticalForAnyWorkerCount) {
-  const auto serial = run_faulty_churn(1, 42, meta_churn);
-  EXPECT_GT(serial.injected, 0u);
-  EXPECT_TRUE(serial.consistent);
-
-  const auto two = run_faulty_churn(2, 42, meta_churn);
-  const auto four = run_faulty_churn(4, 42, meta_churn);
-  EXPECT_TRUE(serial.same_run(two))
-      << "fault replay diverged between serial and 2-thread kernels";
-  EXPECT_TRUE(serial.same_run(four))
-      << "fault replay diverged between serial and 4-thread kernels";
-  // And the partitioned kernel replays itself, event-for-event.
-  EXPECT_EQ(two, run_faulty_churn(2, 42, meta_churn));
+  const auto one = run_faulty_churn(1, 42, meta_churn);
+  EXPECT_GT(one.injected, 0u);
+  EXPECT_TRUE(one.consistent);
+  EXPECT_EQ(one, run_faulty_churn(2, 42, meta_churn))
+      << "fault replay diverged between 1 and 2 worker threads";
+  EXPECT_EQ(one, run_faulty_churn(4, 42, meta_churn))
+      << "fault replay diverged between 1 and 4 worker threads";
+  // And the kernel replays itself, event-for-event.
+  EXPECT_EQ(one, run_faulty_churn(1, 42, meta_churn));
 }
 
 TEST(ParallelFaultDeterminism, DataPathRunReplaysItselfPerWorkerCount) {
+  // One reference run; every worker count, 1 included again, must match
+  // it exactly — so the data plane both replays itself and is identical
+  // across worker counts.
+  const auto one = run_faulty_churn(1, 42, data_churn);
+  EXPECT_GT(one.injected, 0u);
+  EXPECT_TRUE(one.consistent);
   for (const std::uint32_t nthreads : {1u, 2u, 4u}) {
-    const auto first = run_faulty_churn(nthreads, 42, data_churn);
-    EXPECT_GT(first.injected, 0u);
-    EXPECT_TRUE(first.consistent);
-    EXPECT_EQ(first, run_faulty_churn(nthreads, 42, data_churn))
+    EXPECT_EQ(one, run_faulty_churn(nthreads, 42, data_churn))
         << "data-path fault replay diverged at nthreads=" << nthreads;
   }
 }

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "mds/btree.hpp"
@@ -141,11 +142,18 @@ TEST(BPlusTree, ItemsEnumerateInOrder) {
 
 // --- randomized differential property tests --------------------------------
 
+// gtest prints a case as a byte dump of this struct, and ctest takes
+// that dump as the test's name, so every byte is a declared, initialised
+// member: uninitialised padding made the names change from build to
+// build.
 struct FuzzCase {
   std::uint64_t seed;
   std::uint64_t key_space;
   int ops;
+  std::uint32_t tail = 0;
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>,
+              "FuzzCase must have no padding: its bytes name the test");
 
 class BPlusTreeFuzz : public ::testing::TestWithParam<FuzzCase> {};
 

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <optional>
+#include <type_traits>
 
 #include "mds/inode.hpp"
 #include "sim/random.hpp"
@@ -15,12 +16,29 @@ namespace {
 
 using net::Extent;
 
+// gtest prints a case as a byte dump of this struct, and ctest takes
+// that dump as the test's name, so every byte is a declared, initialised
+// member: uninitialised padding made the names change from build to
+// build. `name_tag` fills the slot after `commits`; its values keep the
+// names the cases have been listed under.
 struct FuzzCase {
+  FuzzCase(std::uint64_t seed, int commits, std::uint64_t file_blocks,
+           std::uint32_t max_extent, std::uint32_t name_tag)
+      : seed(seed),
+        commits(commits),
+        name_tag(name_tag),
+        file_blocks(file_blocks),
+        max_extent(max_extent) {}
+
   std::uint64_t seed;
   int commits;
+  std::uint32_t name_tag;
   std::uint64_t file_blocks;  // logical file size bound, in blocks
   std::uint32_t max_extent;
+  std::uint32_t tail = 0;
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>,
+              "FuzzCase must have no padding: its bytes name the test");
 
 class InodeFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -92,11 +110,12 @@ TEST_P(InodeFuzz, MatchesPerBlockReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, InodeFuzz,
-    ::testing::Values(FuzzCase{11, 300, 64, 8},    // dense overwrite churn
-                      FuzzCase{12, 300, 1024, 16},  // moderate density
-                      FuzzCase{13, 150, 32, 32},    // extents >> file span
-                      FuzzCase{14, 500, 256, 4},    // many small commits
-                      FuzzCase{15, 300, 4096, 64}));  // sparse big file
+    ::testing::Values(
+        FuzzCase{11, 300, 64, 8, 0x25},     // dense overwrite churn
+        FuzzCase{12, 300, 1024, 16, 0x6D},  // moderate density
+        FuzzCase{13, 150, 32, 32, 0xC2},    // extents >> file span
+        FuzzCase{14, 500, 256, 4, 0x25},    // many small commits
+        FuzzCase{15, 300, 4096, 64, 0x6D}));  // sparse big file
 
 }  // namespace
 }  // namespace redbud::mds

@@ -130,9 +130,18 @@ TEST(WireSize, NfsWriteCarriesPayload) {
 }
 
 TEST(WireSize, OpNames) {
-  EXPECT_STREQ(op_name(RequestBody{CommitReq{}}), "commit");
+  EXPECT_STREQ(op_name(RequestBody{CreateReq{}}), "create");
+  EXPECT_STREQ(op_name(RequestBody{LookupReq{}}), "lookup");
   EXPECT_STREQ(op_name(RequestBody{LayoutGetReq{}}), "layout_get");
+  EXPECT_STREQ(op_name(RequestBody{CommitReq{}}), "commit");
+  EXPECT_STREQ(op_name(RequestBody{DelegateReq{}}), "delegate");
+  EXPECT_STREQ(op_name(RequestBody{DelegateReturnReq{}}), "delegate_return");
+  EXPECT_STREQ(op_name(RequestBody{RemoveReq{}}), "remove");
+  EXPECT_STREQ(op_name(RequestBody{StatReq{}}), "stat");
   EXPECT_STREQ(op_name(RequestBody{NfsWriteReq{}}), "nfs_write");
+  EXPECT_STREQ(op_name(RequestBody{NfsCommitReq{}}), "nfs_commit");
+  EXPECT_STREQ(op_name(RequestBody{NfsReadReq{}}), "nfs_read");
+  EXPECT_STREQ(op_name(RequestBody{PvfsIoReq{}}), "pvfs_io");
 }
 
 }  // namespace

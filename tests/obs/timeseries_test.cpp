@@ -203,7 +203,7 @@ struct DomainHarness {
   static constexpr std::uint32_t kParts = 4;
 
   explicit DomainHarness(unsigned nthreads, SimTime interval)
-      : domain(nthreads, kLookahead, /*force_partitioned=*/true),
+      : domain(nthreads, kLookahead),
         sampler(SamplerParams{interval, 8192}) {
     for (std::uint32_t p = 0; p < kParts; ++p) {
       sims[p] = &domain.add_partition();
@@ -301,7 +301,9 @@ TEST(ParallelKernelProfile, EventsConserveAndTimeSplitsIntoBusyAndStall) {
   EXPECT_EQ(prof.injections_staged, prof.injections_delivered);
 }
 
-TEST(ParallelKernelProfile, SerialDomainReportsWallAsWorkerZeroBusy) {
+TEST(ParallelKernelProfile, OneThreadDomainChargesEveryWindowToWorkerZero) {
+  // At nthreads == 1 the coordinator runs every window itself: one worker
+  // slot, and each round is exactly one window of the lone partition.
   SimDomain d(1, kLookahead);
   Simulation& s = d.add_partition();
   int fired = 0;
@@ -315,9 +317,12 @@ TEST(ParallelKernelProfile, SerialDomainReportsWallAsWorkerZeroBusy) {
   ASSERT_EQ(prof.partitions.size(), 1u);
   ASSERT_EQ(prof.workers.size(), 1u);
   EXPECT_EQ(prof.partitions[0].events, s.events_processed());
-  EXPECT_EQ(prof.workers[0].busy_ns, prof.wall_ns);
-  EXPECT_EQ(prof.workers[0].stall_ns, 0u);
-  EXPECT_EQ(prof.rounds, 0u) << "the serial path runs no barrier rounds";
+  // 64 timers 3 us apart span 189 us: five 40 us windows.
+  EXPECT_EQ(prof.rounds, 5u);
+  EXPECT_EQ(prof.partitions[0].windows, prof.rounds);
+  EXPECT_EQ(prof.workers[0].windows_run, prof.rounds);
+  EXPECT_GT(prof.workers[0].busy_ns, 0u);
+  EXPECT_LE(prof.workers[0].busy_ns + prof.workers[0].stall_ns, prof.wall_ns);
 }
 
 // --- Perfetto counter-track export (golden file) -------------------------

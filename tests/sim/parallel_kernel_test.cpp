@@ -84,20 +84,25 @@ TEST(ParallelSmallFn, TimerSlabGrowthUnderLoad) {
   EXPECT_EQ(sum, std::uint64_t(kTimers) * (kTimers + 1) / 2);
 }
 
-// ---- SimDomain: serial mode ------------------------------------------------
+// ---- SimDomain: one worker thread -----------------------------------------
 
-TEST(ParallelDomain, SerialDomainCollapsesToOnePartition) {
+TEST(ParallelDomain, OneThreadDomainKeepsEveryPartition) {
+  // nthreads == 1 runs the same window algorithm on the coordinator: every
+  // add_partition() still makes its own partition.
   SimDomain d(1, kLookahead);
   Simulation& a = d.add_partition();
   Simulation& b = d.add_partition();
-  EXPECT_EQ(&a, &b);
-  EXPECT_FALSE(d.parallel());
-  EXPECT_EQ(d.nparts(), 1u);
+  EXPECT_NE(&a, &b);
+  EXPECT_EQ(d.nparts(), 2u);
+  EXPECT_EQ(d.nthreads(), 1u);
+  EXPECT_EQ(a.partition_id(), 0u);
+  EXPECT_EQ(b.partition_id(), 1u);
 }
 
 TEST(ParallelDomain, SerialDomainMatchesPlainSimulation) {
   // The same timer program, once on a bare Simulation and once through a
-  // serial domain: identical execution order and event count.
+  // one-partition, one-thread domain: identical execution order and event
+  // count.
   const auto program = [](Simulation& s, std::vector<int>& order) {
     for (int i = 0; i < 50; ++i) {
       s.call_at(SimTime::micros(5 * (i % 7)), [&order, i] {
@@ -138,7 +143,6 @@ TEST(ParallelDomain, CrossPartitionPingPong) {
   SimDomain d(2, kLookahead);
   Simulation& a = d.add_partition();
   Simulation& b = d.add_partition();
-  ASSERT_TRUE(d.parallel());
 
   std::vector<std::int64_t> a_arrivals;
   std::vector<std::int64_t> b_arrivals;

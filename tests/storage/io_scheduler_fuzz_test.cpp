@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -25,14 +26,31 @@ using redbud::sim::Rng;
 using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
+// gtest prints a case as a byte dump of this struct, and ctest takes
+// that dump as the test's name, so every byte is a declared, initialised
+// member: uninitialised padding made the names change from build to
+// build.
 struct FuzzCase {
+  FuzzCase(std::uint64_t seed, int nrequests, BlockNo space,
+           std::uint32_t max_len, bool merging, bool elevator)
+      : seed(seed),
+        nrequests(nrequests),
+        space(space),
+        max_len(max_len),
+        merging(merging),
+        elevator(elevator) {}
+
   std::uint64_t seed;
   int nrequests;
+  std::uint32_t pad = 0;
   BlockNo space;         // block range requests fall into
   std::uint32_t max_len;
   bool merging;
   bool elevator;
+  std::uint16_t tail = 0;
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>,
+              "FuzzCase must have no padding: its bytes name the test");
 
 class IoSchedulerFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
