@@ -19,7 +19,7 @@ Cluster::Cluster(ClusterParams params)
     : params_(std::move(params)),
       shard_map_(params_.nshards),
       obs_(params_.obs),
-      domain_(params_.nthreads, cluster_lookahead(params_)) {
+      domain_(cluster_lookahead(params_)) {
   // Partition layout: one event loop per MDS shard, one per client host,
   // one for the disk array behind the FC fabric.
   for (std::uint32_t s = 0; s < params_.nshards; ++s) {

@@ -16,8 +16,8 @@
 // The cluster is a partitioned SimDomain: one event-loop partition per
 // MDS shard, per client host, and one for the disk array, synchronized in
 // conservative time windows bounded by the network's minimum cross-node
-// latency (see sim/parallel.hpp). Results are bit-identical for any
-// worker-thread count, including 1.
+// latency (see sim/parallel.hpp). A given config and seed replay
+// bit-identically.
 //
 // Declaration order matters: the SimDomain (which owns every Simulation)
 // must outlive every component, so it is the first stateful member.
@@ -57,10 +57,9 @@ enum class SpacePartition : std::uint8_t {
 struct ClusterParams {
   std::uint32_t nclients = 7;  // the paper's eight-node cluster: 7 + MDS
   std::uint32_t nshards = 1;   // metadata shards (1 = the paper's testbed)
-  // Worker threads driving the partitioned kernel (0 counts as 1).
+  // Both ignored: every run uses the one-threaded window kernel. Kept only
+  // because the repo benchmark's frozen harness still sets them.
   std::uint32_t nthreads = 1;
-  // Ignored: every run uses the window kernel. Kept so callers that still
-  // set it (the repo benchmark's harness) compile unchanged.
   bool force_partitioned = false;
   SpacePartition partition = SpacePartition::kSliceDevices;
   net::NetworkParams network;

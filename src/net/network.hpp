@@ -16,7 +16,6 @@
 // single partition, so every delivery stays local.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -93,17 +92,17 @@ class Network {
   }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::uint64_t messages_sent() const {
-    return messages_.load(std::memory_order_relaxed);
+    return messages_;
   }
   [[nodiscard]] std::uint64_t bytes_sent() const {
-    return bytes_.load(std::memory_order_relaxed);
+    return bytes_;
   }
 
   // --- fault injection ------------------------------------------------------
   // All fault state is per *source* node and is read/written only from the
   // source's own partition: the loss draw and the extra-delay read happen
   // synchronously at deliver() entry, in per-node RNG streams whose draw
-  // order equals the call order — identical for any worker count. A
+  // order equals the call order — identical on every replay. A
   // dropped frame still occupies its slot on the sender's egress pipe (the
   // NIC transmitted it; the fabric lost it) but never arrives: the
   // completion callback is never run, and recovery is the caller's (RPC
@@ -123,13 +122,12 @@ class Network {
     return nodes_[n]->dropped;
   }
   [[nodiscard]] std::uint64_t messages_dropped() const {
-    return drops_.load(std::memory_order_relaxed);
+    return drops_;
   }
   // Register every node's frame-drop counter as
-  // net.frames_dropped{node=N}. Each counter is a plain value written
-  // only from the node's owning partition, so sampling it at a barrier
-  // instant is race-free — the same argument as the per-client RPC
-  // counters. Call once all nodes have been added.
+  // net.frames_dropped{node=N}, a plain value written only from the
+  // node's owning partition and sampled between rounds. Call once all
+  // nodes have been added.
   void register_metrics(redbud::obs::MetricsRegistry& registry) const;
   // Round-trip floor of the fabric: the least time a request + reply pair
   // can take. Retry timeouts below this could never observe a reply.
@@ -169,10 +167,9 @@ class Network {
   NetworkParams params_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<RpcEndpoint*> endpoints_;
-  // Relaxed atomics: bumped from whichever partition initiates a delivery.
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> drops_{0};
+  std::uint64_t messages_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t drops_ = 0;
 };
 
 }  // namespace redbud::net

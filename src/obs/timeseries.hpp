@@ -7,18 +7,15 @@
 // gauge and appends one column entry per channel into a keep-last-N ring.
 //
 // The sampling contract is *off-event*: the sampler is driven by the
-// kernel probe hook (Simulation::set_probe / SimDomain::set_probe), which
-// fires from inside the run loop when the clock is about to cross a grid
-// instant — it never schedules events, never allocates sequence numbers
-// and never suspends anything. Enabling sampling therefore cannot change
-// the event order of a run; fig3/fig4 replay digests are byte-identical
-// with sampling on or off. In a SimDomain the probe fires on the
-// coordinator thread between synchronization rounds while every worker is
-// parked at the barrier, so registry reads are race-free, and because the
-// firing sequence depends only on the deterministic series of round start
-// times, sampled series are bit-identical across worker counts (instants
-// inside a window lag by < lookahead of simulated time — see
-// SimDomain::set_probe).
+// kernel probe hook (SimDomain::set_probe), which fires between
+// synchronization rounds when the clock is about to cross a grid instant
+// — it never schedules events, never allocates sequence numbers and never
+// suspends anything. Enabling sampling therefore cannot change the event
+// order of a run; fig3/fig4 replay digests are byte-identical with
+// sampling on or off. Because the firing sequence depends only on the
+// deterministic series of round start times, sampled series replay
+// bit-identically (instants inside a window lag by < lookahead of
+// simulated time — see SimDomain::set_probe).
 //
 // The channel set is frozen at the first sample (sorted registry order:
 // counters, then raw values, then gauges); instruments registered later

@@ -85,8 +85,7 @@ void Tracer::collapse_lanes() const {
   // Drain every lane into the primary log. Per-lane contents are
   // deterministic (each lane is written only by the one partition mapped
   // to it, in that partition's event order), so the concatenation below —
-  // lane 0 first, then lanes in index order — is too, regardless of how
-  // many worker threads drove the run.
+  // lane 0 first, then lanes in index order — is too.
   for (auto& lp : self->extra_lanes_) {
     Lane& l = *lp;
     self->spans_.insert(self->spans_.end(),
@@ -102,8 +101,8 @@ void Tracer::collapse_lanes() const {
   }
   self->extra_lanes_.clear();
   // Span ids are unique across lanes (the lane tag lives in the high
-  // bits), so this key is a strict total order and the sorted log is
-  // identical for every worker count. stable_sort keeps the (already
+  // bits), so this key is a strict total order and the sorted log does not
+  // depend on the order partitions ran in. stable_sort keeps the (already
   // deterministic) concatenation order for any exact duplicates.
   std::stable_sort(self->spans_.begin(), self->spans_.end(),
                    [](const SpanRecord& a, const SpanRecord& b) {

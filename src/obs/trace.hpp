@@ -120,10 +120,12 @@ class Tracer {
   [[nodiscard]] bool enabled() const { return kCompiledIn && params_.enabled; }
   void set_enabled(bool on) { params_.enabled = on; }
 
-  // Partitioned kernels give every partition its own tracer lane so spans
-  // can be recorded from worker threads without locks. Lane 0 keeps the
-  // plain id counters (as a lone Simulation uses them); lane i >= 1 tags its
-  // ids with i << 48. Lanes are merged deterministically — spans sorted by
+  // Partitioned kernels give every partition its own tracer lane, so trace
+  // and span ids come from per-partition id spaces: an id depends only on
+  // its own partition's event order, never on the order the domain runs
+  // partitions' windows in within a round. Lane 0 keeps the plain id
+  // counters (as a lone Simulation uses them); lane i >= 1 tags its ids
+  // with i << 48. Lanes are merged deterministically — spans sorted by
   // (start, trace, span, ...) with per-lane-deterministic contents — the
   // first time the span log or stage histograms are read after a run.
   void set_lane_count(std::size_t nlanes);

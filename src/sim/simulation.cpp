@@ -76,24 +76,11 @@ bool Simulation::step(SimTime limit) {
   if (!heap_.empty() && heap_.top().at <= limit) {
     const detail::HeapEvent ev = heap_.pop();
     assert(ev.at >= now_ && "event queue went backwards in time");
-    // Clock is about to cross one or more probe grid instants: sample
-    // before the first event at or past the instant runs. probe_next_ is
-    // SimTime::max() when no probe is installed, so the common case is a
-    // single never-taken comparison.
-    if (ev.at >= probe_next_) fire_probes(ev.at);
     now_ = ev.at;
     dispatch_payload(ev.payload);
     return true;
   }
   return false;
-}
-
-void Simulation::fire_probes(SimTime upto) {
-  while (probe_next_ <= upto) {
-    const SimTime instant = probe_next_;
-    probe_next_ = probe_next_ + probe_stride_;
-    probe_fn_(probe_ctx_, instant);
-  }
 }
 
 void Simulation::run() {
@@ -106,12 +93,7 @@ void Simulation::run_until(SimTime t) {
   stopped_ = false;
   while (!stopped_ && step(t)) {
   }
-  if (!stopped_) {
-    // Grid instants between the last event and the horizon fire as the
-    // clock jumps to t (sampling a quiescent tail still yields samples).
-    if (probe_next_ <= t) fire_probes(t);
-    if (now_ < t) now_ = t;
-  }
+  if (!stopped_ && now_ < t) now_ = t;
 }
 
 void Simulation::run_window(SimTime end, bool inclusive) {

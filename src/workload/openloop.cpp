@@ -132,7 +132,7 @@ OpClass OpenLoopEngine::sample_class() {
 
 Process OpenLoopEngine::dispatcher() {
   // Spawned before the cluster runs, so now() here is 0 and the wait
-  // below lands at the same absolute instant regardless of worker count.
+  // below lands at the same absolute instant on every replay.
   // (Spawning mid-run from the host thread would anchor the dispatcher at
   // a partition-local now(), which is not a shared clock inside a round.)
   if (sched_.start_at > sim_->now()) {

@@ -17,8 +17,8 @@
 //
 // Determinism: the dispatcher owns one Rng stream (derive via
 // Rng::split), spawns everything on the host partition's Simulation, and
-// never reads other partitions' state — so sweeps replay identically
-// across worker counts, same as the closed-loop workloads.
+// never reads other partitions' state — so sweeps replay identically,
+// same as the closed-loop workloads.
 #pragma once
 
 #include <array>
@@ -86,9 +86,8 @@ class OpenLoopEngine {
 
   // Phase schedule, all ABSOLUTE simulated instants. Driving the phases
   // in-sim (rather than flipping flags from the host thread between
-  // run_until calls) is what keeps open-loop runs bit-identical across
-  // worker counts: partition-local now() inside a round is not a shared
-  // clock.
+  // run_until calls) is what keeps open-loop runs bit-identical:
+  // partition-local now() inside a round is not a shared clock.
   struct Schedule {
     redbud::sim::SimTime start_at;       // first arrival no earlier than
     redbud::sim::SimTime measure_from;   // latencies recorded from here

@@ -49,8 +49,7 @@ void fill_result(core::Testbed& bed, Workload& w, SimTime measured,
 // Every client gets its own WorkloadContext slot (independent RNG stream,
 // private stats) and its coroutines are spawned onto that client host's
 // partition. All driving goes through the testbed (bed.run_until), and the
-// driver only touches contexts / ProcRefs between run_until calls — the
-// domain barrier orders those accesses against the worker threads. Slot
+// driver only touches contexts / ProcRefs between run_until calls. Slot
 // stats merge into one result at the end.
 WorkloadResult run_workload(core::Testbed& bed, Workload& w,
                             const RunOptions& opt) {
@@ -58,7 +57,7 @@ WorkloadResult run_workload(core::Testbed& bed, Workload& w,
   w.presize(static_cast<std::uint32_t>(n));
 
   // Context slots: streams split from the master seed in client order, so
-  // the draw sequences are independent of the worker-thread count.
+  // the draw sequences are independent of the partition run order.
   redbud::sim::Rng master(opt.seed);
   std::vector<std::unique_ptr<WorkloadContext>> ctxs;
   ctxs.reserve(n);

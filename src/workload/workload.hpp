@@ -99,9 +99,9 @@ class Workload {
   [[nodiscard]] virtual bool fixed_work() const { return false; }
 
   // Pre-grow any lazily-sized shared containers to their full `nclients`
-  // extent. The driver calls this before spawning anything so client
-  // threads running on different partitions never reallocate a shared
-  // vector concurrently; per-element state stays owned by one client.
+  // extent. The driver calls this before spawning anything so a shared
+  // vector never moves under a client thread running on another
+  // partition; per-element state stays owned by one client.
   // Default: nothing shared, no-op.
   virtual void presize(std::uint32_t nclients) { (void)nclients; }
 

@@ -1,12 +1,9 @@
 // Partitioned-cluster tests: the full Redbud stack driven through the
 // SimDomain. The determinism contract under test: with per-client RNG
 // streams and staggered starts, every operation — metadata and data path
-// alike — completes at the same simulated instant for any number of
-// worker threads, including 1. Data-path workloads additionally exercise
-// the disk-array hops and the workload driver end to end.
-//
-// Naming: suites start with "Parallel" for the TSan job's `ctest -R
-// Parallel` filter.
+// alike — completes at the same simulated instant on every replay.
+// Data-path workloads additionally exercise the disk-array hops and the
+// workload driver end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,11 +26,10 @@ using redbud::sim::Rng;
 using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
-ClusterParams small_cluster(std::uint32_t nthreads) {
+ClusterParams small_cluster() {
   ClusterParams p;
   p.nclients = 4;
   p.nshards = 2;
-  p.nthreads = nthreads;
   p.array.ndisks = 2;
   p.array.disk.total_blocks = 1 << 20;
   p.metadata_disk.total_blocks = 1 << 20;
@@ -103,12 +99,11 @@ Process data_churn(Simulation& sim, client::ClientFs& fs,
 using Churn = Process (*)(Simulation&, client::ClientFs&, std::uint32_t,
                           std::vector<std::int64_t>*);
 
-// Run `churn` on a cluster with `nthreads` workers; return the per-client
-// completion-time logs (client-major, deterministic layout) followed by
-// the kernel's event total.
-std::vector<std::vector<std::int64_t>> run_churn(std::uint32_t nthreads,
-                                                 Churn churn) {
-  Cluster c(small_cluster(nthreads));
+// Run `churn` on a fresh cluster; return the per-client completion-time
+// logs (client-major, deterministic layout) followed by the kernel's
+// event total.
+std::vector<std::vector<std::int64_t>> run_churn(Churn churn) {
+  Cluster c(small_cluster());
   c.start();
   std::vector<std::vector<std::int64_t>> logs(c.nclients());
   std::vector<redbud::sim::ProcRef> refs;
@@ -125,34 +120,28 @@ std::vector<std::vector<std::int64_t>> run_churn(std::uint32_t nthreads,
 }
 
 TEST(ParallelCluster, MetadataTimingIdenticalForAnyWorkerCount) {
-  const auto one = run_churn(1, meta_churn);
+  const auto one = run_churn(meta_churn);
   for (std::size_t i = 0; i + 1 < one.size(); ++i) {
     ASSERT_GT(one[i].size(), 40u);
   }
-  EXPECT_EQ(one, run_churn(2, meta_churn))
-      << "metadata timing changed with the worker count";
-  EXPECT_EQ(one, run_churn(4, meta_churn));
-  // And the kernel replays itself.
-  EXPECT_EQ(one, run_churn(1, meta_churn));
+  EXPECT_EQ(one, run_churn(meta_churn)) << "metadata timing did not replay";
 }
 
 TEST(ParallelCluster, DataPathTimingIdenticalForAnyWorkerCount) {
   // Array writes and reads cross the FC fabric as request and ack hops;
-  // their timing must not depend on the worker count either.
-  const auto one = run_churn(1, data_churn);
+  // their timing must replay exactly too.
+  const auto one = run_churn(data_churn);
   for (std::size_t i = 0; i + 1 < one.size(); ++i) {
     ASSERT_GE(one[i].size(), 28u);
   }
-  EXPECT_EQ(one, run_churn(2, data_churn))
-      << "data-path timing changed with the worker count";
-  EXPECT_EQ(one, run_churn(4, data_churn));
+  EXPECT_EQ(one, run_churn(data_churn)) << "data-path timing did not replay";
 }
 
 TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
   // Write / fsync / read-verify across the disk-array hops: content
   // tokens must round-trip even though reads cannot peek the array's
   // state across partitions.
-  Cluster c(small_cluster(2));
+  Cluster c(small_cluster());
   c.start();
   bool done = false;
   Simulation& csim = c.client_sim(0);
@@ -190,7 +179,7 @@ TEST(ParallelCluster, WorkloadDriverRunsAndStaysConsistent) {
   core::TestbedParams tp;
   tp.protocol = Protocol::kRedbudDelayed;
   tp.nclients = 4;
-  tp.redbud = small_cluster(2);
+  tp.redbud = small_cluster();
   core::Testbed bed(tp);
   bed.start();
 

@@ -1,13 +1,10 @@
 // Fault-schedule determinism, the kernel's contract under faults: a
 // churn under a full mixed fault schedule (slow disks, lossy links, a
 // shard crash with failover) completes every op at the same simulated
-// instant, with the same event total and drop count, for any worker
-// count including 1 — on the metadata plane and on the data plane.
-// Faults are partition-local timers and per-node RNG draws at delivery
-// entry, so no part of the fault path may depend on worker interleaving.
-//
-// Naming: suites start with "Parallel" for the TSan job's `ctest -R
-// Parallel` filter.
+// instant, with the same event total and drop count, on every replay —
+// on the metadata plane and on the data plane. Faults are
+// partition-local timers and per-node RNG draws at delivery entry, so no
+// part of the fault path may depend on the order partitions run in.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,11 +36,10 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-ClusterParams faulty_cluster(std::uint32_t nthreads) {
+ClusterParams faulty_cluster() {
   ClusterParams p;
   p.nclients = 4;
   p.nshards = 2;
-  p.nthreads = nthreads;
   p.array.ndisks = 2;
   p.array.disk.total_blocks = 1 << 20;
   p.metadata_disk.total_blocks = 1 << 20;
@@ -135,9 +131,8 @@ struct RunDigest {
 using Churn = Process (*)(Simulation&, client::ClientFs&, std::uint32_t,
                           std::vector<std::int64_t>*);
 
-RunDigest run_faulty_churn(std::uint32_t nthreads, std::uint64_t seed,
-                           Churn churn) {
-  Cluster c(faulty_cluster(nthreads));
+RunDigest run_faulty_churn(std::uint64_t seed, Churn churn) {
+  Cluster c(faulty_cluster());
   const auto& cp = c.params();
   FaultSchedule sched = FaultSchedule::generate(
       mixed_faults(seed), cp.array.ndisks, cp.nclients, cp.nshards);
@@ -203,33 +198,24 @@ TEST(ParallelFaultDeterminism, ScheduleIsAPureFunctionOfSeedAndTopology) {
 }
 
 TEST(ParallelFaultDeterminism, MetadataRunIdenticalForAnyWorkerCount) {
-  const auto one = run_faulty_churn(1, 42, meta_churn);
+  const auto one = run_faulty_churn(42, meta_churn);
   EXPECT_GT(one.injected, 0u);
   EXPECT_TRUE(one.consistent);
-  EXPECT_EQ(one, run_faulty_churn(2, 42, meta_churn))
-      << "fault replay diverged between 1 and 2 worker threads";
-  EXPECT_EQ(one, run_faulty_churn(4, 42, meta_churn))
-      << "fault replay diverged between 1 and 4 worker threads";
-  // And the kernel replays itself, event-for-event.
-  EXPECT_EQ(one, run_faulty_churn(1, 42, meta_churn));
+  EXPECT_EQ(one, run_faulty_churn(42, meta_churn))
+      << "metadata fault replay diverged";
 }
 
 TEST(ParallelFaultDeterminism, DataPathRunReplaysItselfPerWorkerCount) {
-  // One reference run; every worker count, 1 included again, must match
-  // it exactly — so the data plane both replays itself and is identical
-  // across worker counts.
-  const auto one = run_faulty_churn(1, 42, data_churn);
+  const auto one = run_faulty_churn(42, data_churn);
   EXPECT_GT(one.injected, 0u);
   EXPECT_TRUE(one.consistent);
-  for (const std::uint32_t nthreads : {1u, 2u, 4u}) {
-    EXPECT_EQ(one, run_faulty_churn(nthreads, 42, data_churn))
-        << "data-path fault replay diverged at nthreads=" << nthreads;
-  }
+  EXPECT_EQ(one, run_faulty_churn(42, data_churn))
+      << "data-path fault replay diverged";
 }
 
 TEST(ParallelFaultDeterminism, DifferentSeedsProduceDifferentRuns) {
-  const auto a = run_faulty_churn(1, 42, data_churn);
-  const auto b = run_faulty_churn(1, 43, data_churn);
+  const auto a = run_faulty_churn(42, data_churn);
+  const auto b = run_faulty_churn(43, data_churn);
   EXPECT_NE(a.ops, b.ops);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the time-series telemetry plane: the kernel probe's
 // off-event grid semantics, the sampler ring, channel freezing and
-// name-based re-resolution, sampled-series determinism across worker
-// counts, the KernelProfile's accounting invariants, and a golden-file
+// name-based re-resolution, sampled-series replay determinism, the
+// KernelProfile's accounting invariants, and a golden-file
 // check of the Perfetto counter-track export.
 //
 // Regenerate the golden file after an intentional export-format change:
@@ -37,7 +37,7 @@ using redbud::sim::Simulation;
 
 constexpr SimTime kLookahead = SimTime::micros(40);
 
-// --- Serial probe: grid semantics ----------------------------------------
+// --- Domain probe: grid semantics ----------------------------------------
 
 struct ProbeLog {
   Simulation* sim = nullptr;
@@ -52,54 +52,76 @@ struct ProbeLog {
 };
 
 TEST(KernelProbe, FiresAtExactGridInstantsBeforeCrossingEvents) {
-  Simulation sim;
+  // One partition: rounds start at 5 us (window [5, 45) runs 5 and 25),
+  // 60 us and 104 us.
+  SimDomain d(kLookahead);
+  Simulation& sim = d.add_partition();
   ProbeLog log;
   log.sim = &sim;
-  sim.set_probe(SimTime::micros(10), SimTime::micros(10), &log,
-                &ProbeLog::thunk);
-  for (const std::int64_t us : {5, 25, 40, 104}) {
+  d.set_probe(SimTime::micros(10), SimTime::micros(10), &log,
+              &ProbeLog::thunk);
+  for (const std::int64_t us : {5, 25, 60, 104}) {
     sim.call_at(SimTime::micros(us), [&log, us] { log.event(us * 1000); });
   }
-  sim.run_until(SimTime::micros(120));
+  d.run_until(SimTime::micros(120));
 
-  // Probes fired at every exact grid instant up to the horizon, and the
-  // clock had NOT yet reached the instant when each one ran (t_k^-).
+  // Every grid instant up to the horizon fired, once and in order.
   std::vector<std::int64_t> probe_instants;
   for (const auto& e : log.entries) {
-    if (e[0] == 0) {
-      probe_instants.push_back(e[1]);
-      EXPECT_LT(e[2], e[1]) << "probe must run before the clock crosses it";
-    }
+    if (e[0] == 0) probe_instants.push_back(e[1]);
   }
   std::vector<std::int64_t> want;
   for (std::int64_t us = 10; us <= 120; us += 10) want.push_back(us * 1000);
   EXPECT_EQ(probe_instants, want);
 
-  // An event AT a grid instant runs after that instant's probe: the probe
-  // at 40us precedes the event at 40us in the log.
-  std::size_t probe40 = 0, event40 = 0;
+  // Each instant fires after every event before it, and lags the events
+  // at or past it by less than one window.
   for (std::size_t i = 0; i < log.entries.size(); ++i) {
-    if (log.entries[i] == std::array<std::int64_t, 3>{0, 40000, 25000}) {
-      probe40 = i;
+    if (log.entries[i][0] != 0) continue;
+    const std::int64_t instant = log.entries[i][1];
+    EXPECT_LT(log.entries[i][2], instant + kLookahead.ns());
+    for (std::size_t j = 0; j < log.entries.size(); ++j) {
+      if (log.entries[j][0] != 1) continue;
+      const std::int64_t at = log.entries[j][1];
+      if (at < instant) {
+        EXPECT_LT(j, i) << "event at " << at << " ns ran after probe "
+                        << instant;
+      } else if (j < i) {
+        EXPECT_LT(at, instant + kLookahead.ns()) << "probe " << instant
+                                                 << " lags a whole window";
+      }
     }
-    if (log.entries[i][0] == 1 && log.entries[i][1] == 40000) event40 = i;
   }
-  EXPECT_LT(probe40, event40);
-  EXPECT_EQ(sim.now(), SimTime::micros(120));
+
+  // 60 us is a round start: its probe is exact — it runs before the event
+  // at 60 us, with the clock still short of the instant.
+  std::size_t probe60 = 0, event60 = 0;
+  for (std::size_t i = 0; i < log.entries.size(); ++i) {
+    if (log.entries[i][1] != 60000) continue;
+    if (log.entries[i][0] == 0) {
+      probe60 = i;
+      EXPECT_LT(log.entries[i][2], 60000);
+    } else {
+      event60 = i;
+    }
+  }
+  EXPECT_LT(probe60, event60);
+  EXPECT_EQ(d.now(), SimTime::micros(120));
 }
 
-// --- Serial probe: sampling cannot perturb the event stream --------------
+// --- Domain probe: sampling cannot perturb the event stream --------------
 
 std::uint64_t churn_digest(bool with_sampler, std::uint64_t* samples_out) {
-  Simulation sim;
+  SimDomain d(kLookahead);
+  Simulation& sim = d.add_partition();
   MetricsRegistry reg;
   Counter ops;
   reg.register_counter("churn.ops", {}, &ops);
   TimeSeriesSampler sampler(SamplerParams{SimTime::micros(15), 4096});
   sampler.bind(&reg);
   if (with_sampler) {
-    sim.set_probe(sampler.interval(), sampler.interval(), &sampler,
-                  &TimeSeriesSampler::probe_thunk);
+    d.set_probe(sampler.interval(), sampler.interval(), &sampler,
+                &TimeSeriesSampler::probe_thunk);
   }
 
   std::uint64_t digest = 1469598103934665603ull;
@@ -124,8 +146,8 @@ std::uint64_t churn_digest(bool with_sampler, std::uint64_t* samples_out) {
   Chain c{&sim, &ops, &fold};
   c.arm(1, 0, SimTime::micros(7));
   c.arm(2, 0, SimTime::micros(35));
-  sim.run_until(SimTime::millis(5));
-  fold(sim.events_processed());
+  d.run_until(SimTime::millis(5));
+  fold(d.events_processed());
   if (samples_out != nullptr) *samples_out = sampler.samples_taken();
   return digest;
 }
@@ -194,7 +216,7 @@ TEST(TimeSeriesSampler, ChannelSetFreezesButNamesReResolve) {
   EXPECT_EQ(series[0].values, (std::vector<double>{1, 1, 42}));
 }
 
-// --- Parallel domain: sampled series are worker-count invariant ----------
+// --- Partitioned domain: sampled series replay identically ---------------
 
 // Four partitions with cross-partition traffic; each partition bumps its
 // own counter per executed event and tracks its in-flight chain depth in
@@ -202,8 +224,8 @@ TEST(TimeSeriesSampler, ChannelSetFreezesButNamesReResolve) {
 struct DomainHarness {
   static constexpr std::uint32_t kParts = 4;
 
-  explicit DomainHarness(unsigned nthreads, SimTime interval)
-      : domain(nthreads, kLookahead),
+  explicit DomainHarness(SimTime interval)
+      : domain(kLookahead),
         sampler(SamplerParams{interval, 8192}) {
     for (std::uint32_t p = 0; p < kParts; ++p) {
       sims[p] = &domain.add_partition();
@@ -249,62 +271,64 @@ struct DomainHarness {
   std::array<Gauge, kParts> depth;
 };
 
-std::string run_sampled(unsigned nthreads) {
-  DomainHarness h(nthreads, SimTime::micros(100));
+// The sampled series of one run, followed by its event total.
+std::string run_sampled() {
+  DomainHarness h(SimTime::micros(100));
   h.start();
   h.domain.run_until(SimTime::millis(10));
   EXPECT_GT(h.sampler.samples_taken(), 0u);
-  return timeseries_json(h.sampler);
+  return timeseries_json(h.sampler) + "\nevents " +
+         std::to_string(h.domain.events_processed());
 }
 
 TEST(ParallelTimeSeries, SampledSeriesIdenticalAcrossWorkerCounts) {
-  const std::string t1 = run_sampled(1);
-  const std::string t2 = run_sampled(2);
-  const std::string t4 = run_sampled(4);
-  EXPECT_EQ(t1, t2) << "sampled series must not depend on the worker count";
-  EXPECT_EQ(t2, t4) << "sampled series must not depend on the worker count";
-  EXPECT_EQ(t2, run_sampled(2)) << "same worker count must replay identically";
+  const std::string first = run_sampled();
+  EXPECT_EQ(first, run_sampled()) << "sampled series must replay identically";
 }
 
 // --- KernelProfile: accounting invariants --------------------------------
 
-TEST(ParallelKernelProfile, EventsConserveAndTimeSplitsIntoBusyAndStall) {
-  DomainHarness h(2, SimTime::micros(100));
+TEST(ParallelKernelProfile, EventsConserveAndBusyTimeFitsInWallTime) {
+  DomainHarness h(SimTime::micros(100));
   h.start();
   h.domain.run_until(SimTime::millis(10));
 
   const KernelProfile prof = h.domain.kernel_profile();
   ASSERT_EQ(prof.partitions.size(), DomainHarness::kParts);
-  ASSERT_EQ(prof.workers.size(), 2u);
   EXPECT_GT(prof.rounds, 0u);
   EXPECT_GT(prof.wall_ns, 0u);
   EXPECT_GT(prof.busy_ns_total(), 0u);
+  EXPECT_EQ(prof.stall_ns_total(), 0u);
 
-  // Every executed event is attributed to exactly one partition.
+  // Every executed event is attributed to exactly one partition, and every
+  // round runs one window of every partition.
   std::uint64_t events = 0;
+  std::uint64_t busy = 0;
   for (std::uint32_t p = 0; p < DomainHarness::kParts; ++p) {
-    EXPECT_EQ(prof.partitions[p].events, h.sims[p]->events_processed());
-    events += prof.partitions[p].events;
+    const KernelProfile::Partition& part = prof.partitions[p];
+    EXPECT_EQ(part.events, h.sims[p]->events_processed());
+    EXPECT_EQ(part.windows, prof.rounds);
+    EXPECT_GT(part.windows_active, 0u);
+    EXPECT_LE(part.windows_active, part.windows);
+    events += part.events;
+    busy += part.busy_ns;
   }
   EXPECT_EQ(events, prof.events_total());
   EXPECT_GT(events, 0u);
   EXPECT_GE(prof.max_partition_events(), events / DomainHarness::kParts);
 
-  // Per worker, window execution and barrier stalls are disjoint slices
-  // of the domain's run loop, so their sum cannot exceed the wall clock.
-  for (const KernelProfile::Worker& w : prof.workers) {
-    EXPECT_LE(w.busy_ns + w.stall_ns, prof.wall_ns);
-  }
+  // Window execution is a slice of the domain's run loop.
+  EXPECT_EQ(busy, prof.busy_ns_total());
+  EXPECT_LE(prof.busy_ns_total(), prof.wall_ns);
 
   // The domain went quiescent, so every staged injection was delivered.
   EXPECT_GT(prof.injections_staged, 0u);
   EXPECT_EQ(prof.injections_staged, prof.injections_delivered);
 }
 
-TEST(ParallelKernelProfile, OneThreadDomainChargesEveryWindowToWorkerZero) {
-  // At nthreads == 1 the coordinator runs every window itself: one worker
-  // slot, and each round is exactly one window of the lone partition.
-  SimDomain d(1, kLookahead);
+TEST(ParallelKernelProfile, OnePartitionDomainRunsOneWindowPerRound) {
+  // Each round of a one-partition domain is exactly one window of it.
+  SimDomain d(kLookahead);
   Simulation& s = d.add_partition();
   int fired = 0;
   for (int i = 1; i <= 64; ++i) {
@@ -315,14 +339,15 @@ TEST(ParallelKernelProfile, OneThreadDomainChargesEveryWindowToWorkerZero) {
 
   const KernelProfile prof = d.kernel_profile();
   ASSERT_EQ(prof.partitions.size(), 1u);
-  ASSERT_EQ(prof.workers.size(), 1u);
   EXPECT_EQ(prof.partitions[0].events, s.events_processed());
-  // 64 timers 3 us apart span 189 us: five 40 us windows.
+  // 64 timers 3 us apart span 189 us: five 40 us windows, each busy.
   EXPECT_EQ(prof.rounds, 5u);
   EXPECT_EQ(prof.partitions[0].windows, prof.rounds);
-  EXPECT_EQ(prof.workers[0].windows_run, prof.rounds);
-  EXPECT_GT(prof.workers[0].busy_ns, 0u);
-  EXPECT_LE(prof.workers[0].busy_ns + prof.workers[0].stall_ns, prof.wall_ns);
+  EXPECT_EQ(prof.partitions[0].windows_active, prof.rounds);
+  EXPECT_GT(prof.partitions[0].busy_ns, 0u);
+  EXPECT_EQ(prof.busy_ns_total(), prof.partitions[0].busy_ns);
+  EXPECT_LE(prof.busy_ns_total(), prof.wall_ns);
+  EXPECT_EQ(prof.injections_staged, 0u);
 }
 
 // --- Perfetto counter-track export (golden file) -------------------------

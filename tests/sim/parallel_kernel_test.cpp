@@ -1,16 +1,14 @@
 // Partitioned-kernel tests: the SmallFn timer callable, conservative
 // window execution, cross-partition mailbox ordering, and — the property
-// everything else leans on — bit-identical replay for any worker-thread
-// count.
-//
-// Naming: every suite here starts with "Parallel" so the TSan CI job can
-// select exactly this surface with `ctest -R Parallel`.
+// everything else leans on — bit-identical replay.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/parallel.hpp"
@@ -84,24 +82,23 @@ TEST(ParallelSmallFn, TimerSlabGrowthUnderLoad) {
   EXPECT_EQ(sum, std::uint64_t(kTimers) * (kTimers + 1) / 2);
 }
 
-// ---- SimDomain: one worker thread -----------------------------------------
+// ---- SimDomain: single partitions -----------------------------------------
 
 TEST(ParallelDomain, OneThreadDomainKeepsEveryPartition) {
-  // nthreads == 1 runs the same window algorithm on the coordinator: every
+  // The domain runs every partition on the calling thread, yet every
   // add_partition() still makes its own partition.
-  SimDomain d(1, kLookahead);
+  SimDomain d(kLookahead);
   Simulation& a = d.add_partition();
   Simulation& b = d.add_partition();
   EXPECT_NE(&a, &b);
   EXPECT_EQ(d.nparts(), 2u);
-  EXPECT_EQ(d.nthreads(), 1u);
   EXPECT_EQ(a.partition_id(), 0u);
   EXPECT_EQ(b.partition_id(), 1u);
 }
 
 TEST(ParallelDomain, SerialDomainMatchesPlainSimulation) {
   // The same timer program, once on a bare Simulation and once through a
-  // one-partition, one-thread domain: identical execution order and event
+  // one-partition domain: identical execution order and event
   // count.
   const auto program = [](Simulation& s, std::vector<int>& order) {
     for (int i = 0; i < 50; ++i) {
@@ -115,7 +112,7 @@ TEST(ParallelDomain, SerialDomainMatchesPlainSimulation) {
   program(plain, plain_order);
   plain.run_until(SimTime::millis(1));
 
-  SimDomain d(1, kLookahead);
+  SimDomain d(kLookahead);
   Simulation& s = d.add_partition();
   std::vector<int> domain_order;
   program(s, domain_order);
@@ -127,7 +124,7 @@ TEST(ParallelDomain, SerialDomainMatchesPlainSimulation) {
 }
 
 TEST(ParallelDomain, SerialPostDeliversAtItsTimestamp) {
-  SimDomain d(1, kLookahead);
+  SimDomain d(kLookahead);
   Simulation& s = d.add_partition();
   SimTime fired = SimTime::zero();
   d.post(s, 0, SimTime::micros(100), [&s, &fired] { fired = s.now(); });
@@ -135,12 +132,12 @@ TEST(ParallelDomain, SerialPostDeliversAtItsTimestamp) {
   EXPECT_EQ(fired, SimTime::micros(100));
 }
 
-// ---- SimDomain: parallel windows -------------------------------------------
+// ---- SimDomain: cross-partition windows ------------------------------------
 
 TEST(ParallelDomain, CrossPartitionPingPong) {
   // Two partitions bounce a message with exactly the lookahead latency;
   // each delivery must run at its injected timestamp on the right clock.
-  SimDomain d(2, kLookahead);
+  SimDomain d(kLookahead);
   Simulation& a = d.add_partition();
   Simulation& b = d.add_partition();
 
@@ -187,7 +184,7 @@ TEST(ParallelDomain, MailboxTiesOrderedBySourceThenSeq) {
   // Three sources inject into partition 0 at the same timestamp; the
   // total order must be (send time, sender partition, sender seq) no
   // matter the staging order.
-  SimDomain d(2, kLookahead);
+  SimDomain d(kLookahead);
   Simulation& p0 = d.add_partition();
   Simulation& p1 = d.add_partition();
   Simulation& p2 = d.add_partition();
@@ -215,14 +212,14 @@ TEST(ParallelDomain, MailboxTiesOrderedBySourceThenSeq) {
 
 TEST(ParallelDomainDeath, InjectionInsideLookaheadAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  SimDomain d(2, kLookahead);
+  SimDomain d(kLookahead);
   Simulation& a = d.add_partition();
   (void)d.add_partition();
   EXPECT_DEATH(d.post(a, 1, a.now() + SimTime::micros(10), [] {}),
                "lookahead");
 }
 
-// ---- Determinism across worker counts --------------------------------------
+// ---- Replay determinism -----------------------------------------------------
 
 // A 4-partition topology that mixes local timer chains (different periods
 // per partition, so windows interleave) with cross-partition messages that
@@ -231,7 +228,7 @@ TEST(ParallelDomainDeath, InjectionInsideLookaheadAborts) {
 struct DigestHarness {
   static constexpr std::uint32_t kParts = 4;
 
-  explicit DigestHarness(unsigned nthreads) : domain(nthreads, kLookahead) {
+  DigestHarness() : domain(kLookahead) {
     for (std::uint32_t p = 0; p < kParts; ++p) {
       sims[p] = &domain.add_partition();
     }
@@ -284,28 +281,39 @@ struct DigestHarness {
   std::array<std::vector<std::uint64_t>, kParts> logs;
 };
 
-std::uint64_t run_digest(unsigned nthreads) {
-  DigestHarness h(nthreads);
+// (digest, events dispatched) of one run.
+std::pair<std::uint64_t, std::uint64_t> run_digest() {
+  DigestHarness h;
   h.start();
   h.domain.run_until(SimTime::millis(20));
   for (std::uint32_t p = 0; p < DigestHarness::kParts; ++p) {
     EXPECT_FALSE(h.logs[p].empty());
   }
-  return h.digest();
+  return {h.digest(), h.domain.events_processed()};
 }
 
 TEST(ParallelDeterminism, DigestIdenticalAcrossWorkerCounts) {
-  const std::uint64_t d2 = run_digest(2);
-  const std::uint64_t d2_again = run_digest(2);
-  const std::uint64_t d4 = run_digest(4);
-  EXPECT_EQ(d2, d2_again) << "same worker count must replay identically";
-  EXPECT_EQ(d2, d4) << "digest must not depend on the worker count";
+  // Three runs of the same program: digests and event totals must agree.
+  const auto first = run_digest();
+  EXPECT_GT(first.second, 0u);
+  EXPECT_EQ(first, run_digest()) << "second run diverged";
+  EXPECT_EQ(first, run_digest()) << "third run diverged";
 }
 
 TEST(ParallelDeterminism, RepeatedRunsStableUnderManyThreads) {
-  const std::uint64_t d8 = run_digest(8);
-  EXPECT_EQ(d8, run_digest(8));
-  EXPECT_EQ(d8, run_digest(3));
+  // Independent domains on separate host threads (as bench::ParallelRunner
+  // runs them) share no state: each replays the single-threaded result.
+  const auto reference = run_digest();
+  constexpr unsigned kHostThreads = 4;
+  std::array<std::pair<std::uint64_t, std::uint64_t>, kHostThreads> got{};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kHostThreads; ++t) {
+    threads.emplace_back([&got, t] { got[t] = run_digest(); });
+  }
+  for (auto& th : threads) th.join();
+  for (unsigned t = 0; t < kHostThreads; ++t) {
+    EXPECT_EQ(reference, got[t]) << "host thread " << t << " diverged";
+  }
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ ArrayParams small_array() {
   return p;
 }
 
-// The array in its own partition of a one-thread domain; test bodies run
+// The array in its own partition of a domain; test bodies run
 // in a second partition, as a client host's would.
 struct Rig {
   explicit Rig(ArrayParams p = small_array())
@@ -32,7 +32,7 @@ struct Rig {
     domain.check_failures();
   }
 
-  SimDomain domain{1, SimTime::micros(40)};
+  SimDomain domain{SimTime::micros(40)};
   Simulation& issuer;
   DiskArray array;
 };
